@@ -283,7 +283,8 @@ template <typename KeyOf, typename Fn>
 void PredictionEngine::for_each_shard(std::size_t count, const KeyOf& key_of,
                                       const Fn& fn) {
   // Group batch indices by shard (preserving batch order within a shard),
-  // then run one task per non-empty shard so each mutex is taken once.
+  // then fan the non-empty shards out across the pool so each mutex is
+  // taken once.
   // The grouping buffers are thread-local so steady-state batches reuse
   // their capacity instead of allocating one vector per shard per call;
   // concurrent observe()/predict() callers each get their own scratch.
@@ -304,10 +305,6 @@ void PredictionEngine::for_each_shard(std::size_t count, const KeyOf& key_of,
   active.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (!by_shard[s].empty()) active.push_back(s);
-  }
-  if (active.size() <= 1 || pool_.size() <= 1) {
-    for (std::size_t s : active) fn(s, by_shard[s]);
-    return;
   }
   pool_.parallel_for(0, active.size(), [&](std::size_t a) {
     fn(active[a], by_shard[active[a]]);

@@ -6,8 +6,8 @@
 //     map, a tsdb::PredictionDatabase, and a qa::QualityAssuror, all guarded
 //     by one shard mutex — so two series in different shards never contend;
 //   * observe(batch) / predict(batch) group the batch by shard and fan the
-//     per-shard work across a ThreadPool::parallel_for, taking each shard's
-//     mutex exactly once per batch;
+//     per-shard work out with a fork-join ThreadPool::parallel_for, taking
+//     each shard's mutex exactly once per batch;
 //   * per-series lifecycle is lazy: a series trains itself after
 //     EngineConfig::train_samples observations, and the Quality Assuror's
 //     audit (every audit_every observations) can order a re-train from the
@@ -98,7 +98,9 @@ struct EngineConfig {
   qa::QaConfig quality;
   /// Hash partitions; more shards = less cross-series contention.
   std::size_t shards = 8;
-  /// Worker threads backing the batched calls (0 = hardware concurrency).
+  /// Parallelism of the batched calls: `threads` workers run the shards
+  /// while the caller waits; 1 starts no worker and runs every shard on the
+  /// calling thread (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Observations before a series lazily trains itself, and the number of
   /// recent samples a QA-ordered re-train uses.
@@ -440,8 +442,8 @@ class PredictionEngine {
   void apply_op(Shard& shard, std::uint8_t type, const tsdb::SeriesKey& key,
                 double value);
 
-  /// Groups batch indices by shard and runs fn(shard_id, indices) across
-  /// the worker pool, one task per shard with work.
+  /// Groups batch indices by shard and runs fn(shard_id, indices) once per
+  /// shard with work, fanned out across the pool.
   template <typename KeyOf, typename Fn>
   void for_each_shard(std::size_t count, const KeyOf& key_of, const Fn& fn);
 

@@ -1,8 +1,6 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
+#include <utility>
 
 namespace larp {
 
@@ -10,97 +8,89 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+  if (threads == 1) return;  // a pool of one is the calling thread alone
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() { shutdown(); }
+ThreadPool::~ThreadPool() { stop(); }
 
-void ThreadPool::shutdown() {
+void ThreadPool::stop() {
   {
     std::lock_guard lock(mutex_);
-    if (stopping_ && workers_.empty()) return;  // already shut down
     stopping_ = true;
   }
-  cv_.notify_all();
+  wake_.notify_all();
   for (auto& worker : workers_) worker.join();
-  workers_.clear();
-}
-
-bool ThreadPool::stopped() const {
-  std::lock_guard lock(mutex_);
-  return stopping_;
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    task();
+    wake_.wait(lock, [this] {
+      return stopping_ || (busy_ && next_.load(std::memory_order_relaxed) < end_);
+    });
+    if (stopping_) return;
+    ++joined_;
+    const Body body = body_;
+    const std::size_t end = end_;
+    lock.unlock();
+    std::exception_ptr error = drain(body, next_, end);
+    lock.lock();
+    if (error && !error_) error_ = std::move(error);
+    if (--joined_ == 0) done_.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, std::max<std::size_t>(1, size() * 4));
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
-  // Ceil-division twice over: `chunks * chunk_size` can overshoot `total`,
-  // leaving trailing chunks with lo >= end.  Those carry no iterations but
-  // would still burn a submit slot (and a queue wakeup) each — skip them by
-  // submitting only the chunks that contain work.
-  const std::size_t used_chunks = (total + chunk_size - 1) / chunk_size;
-
-  std::atomic<std::size_t> remaining{used_chunks};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-
-  // Shutdown safety: if submit() throws mid-loop (pool shut down
-  // concurrently), the already-submitted jobs still reference this frame's
-  // locals — so never leave before `remaining` reaches zero.  The
-  // unsubmitted chunks are credited below and the submit error is rethrown
-  // only after the in-flight jobs have drained.
-  std::exception_ptr submit_error;
-  for (std::size_t c = 0; c < used_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
+std::exception_ptr ThreadPool::drain(Body body, std::atomic<std::size_t>& next,
+                                     std::size_t end) noexcept {
+  std::exception_ptr error;
+  for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < end;) {
     try {
-      // Fire-and-forget job; completion is tracked via `remaining`.
-      (void)submit([&, lo, hi] {
-        try {
-          for (std::size_t i = lo; i < hi; ++i) fn(i);
-        } catch (...) {
-          std::lock_guard lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard lock(done_mutex);
-          done_cv.notify_all();
-        }
-      });
+      body.call(body.fn, i);
     } catch (...) {
-      submit_error = std::current_exception();
-      remaining.fetch_sub(used_chunks - c, std::memory_order_acq_rel);
-      break;
+      if (!error) error = std::current_exception();
     }
   }
+  return error;
+}
 
-  std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+void ThreadPool::run(std::size_t begin, std::size_t end, Body body) {
+  if (begin >= end) return;
+  bool forked = false;
+  if (end - begin > 1 && !workers_.empty()) {
+    std::lock_guard lock(mutex_);
+    if (!busy_) {
+      busy_ = forked = true;
+      body_ = body;
+      end_ = end;
+      next_.store(begin, std::memory_order_relaxed);
+    }
+  }
+  if (!forked) {
+    std::atomic<std::size_t> next{begin};
+    if (auto error = drain(body, next, end)) std::rethrow_exception(error);
+    return;
+  }
+  wake_.notify_all();
+  std::unique_lock lock(mutex_);
+  // Workers join only while busy_ is set and claim indices only after
+  // joining, so once every index is claimed and joined_ reads 0 under the
+  // lock, no worker can reach `body` again.
+  done_.wait(lock, [&] {
+    return joined_ == 0 && next_.load(std::memory_order_relaxed) >= end;
+  });
+  busy_ = false;
+  const std::exception_ptr error = std::exchange(error_, nullptr);
   lock.unlock();
-  if (submit_error) std::rethrow_exception(submit_error);
-  if (first_error) std::rethrow_exception(first_error);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace larp

@@ -11,6 +11,7 @@
 #include "core/lar_predictor.hpp"
 #include "predictors/pool.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace larp::core {
 namespace {
@@ -141,6 +142,31 @@ TEST(ZeroAlloc, OnlineLearningOnlyAllocatesForIndexGrowth) {
   }
   EXPECT_LE(bracket.count(), 4 * measured)
       << "online-learning steps should allocate O(1) for index growth only";
+}
+
+// The engine's batched fan-out: once a 2-thread pool is warm, one
+// parallel_for whose body captures three references, as
+// PredictionEngine::for_each_shard's does, must not touch the heap.
+TEST(ZeroAlloc, ThreadPoolFanOutDoesNotAllocate) {
+  ThreadPool pool(2);
+  std::vector<std::size_t> active(16);
+  std::vector<std::vector<std::size_t>> by_shard(16, std::vector<std::size_t>(8));
+  std::vector<std::size_t> out(16);
+  for (std::size_t s = 0; s < active.size(); ++s) active[s] = s;
+  const auto fan_out = [&] {
+    pool.parallel_for(0, active.size(), [&active, &by_shard, &out](std::size_t a) {
+      out[active[a]] += by_shard[active[a]].size();
+    });
+  };
+  for (int call = 0; call < 100; ++call) fan_out();
+
+  constexpr std::size_t kCalls = 1000;
+  larp::testing::AllocationCount bracket;
+  for (std::size_t call = 0; call < kCalls; ++call) fan_out();
+  const std::size_t allocations = bracket.count();
+  EXPECT_EQ(allocations, 0u)
+      << static_cast<double>(allocations) / kCalls << " allocations per call";
+  EXPECT_EQ(out[0], (100 + kCalls) * 8);
 }
 
 }  // namespace

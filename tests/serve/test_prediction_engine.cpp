@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -185,6 +188,63 @@ TEST(PredictionEngine, ManySeriesAcrossShardsAndThreads) {
   EXPECT_EQ(stats.observations, kSeries * total_steps);
   EXPECT_GT(stats.resolved, 0u);
   EXPECT_TRUE(std::isfinite(stats.mean_absolute_error));
+}
+
+// One engine behind several callers, as when it backs several event loops:
+// two threads drive disjoint key sets through a 3-thread engine at once, and
+// every forecast must be bit-identical to a 1-thread engine fed that stream.
+TEST(PredictionEngine, ConcurrentCallersMatchSingleThreadedEngines) {
+  const std::size_t kSeries = 12;
+  const std::size_t kSteps = 120;
+  auto config = small_config(3, /*shards=*/8);
+  config.audit_every = 8;  // QA re-trains run inside the fan-out too
+  const auto drive = [&](PredictionEngine& engine, std::size_t caller) {
+    std::vector<tsdb::SeriesKey> keys;
+    std::vector<std::vector<double>> streams;
+    for (std::size_t s = 0; s < kSeries; ++s) {
+      keys.push_back(key_of(caller * kSeries + s));
+      streams.push_back(ar1_series(kSteps, 500 + caller * kSeries + s));
+    }
+    std::vector<Prediction> forecasts;
+    std::vector<Observation> batch(kSeries);
+    for (std::size_t i = 0; i < kSteps; ++i) {
+      const auto predictions = engine.predict(keys);
+      forecasts.insert(forecasts.end(), predictions.begin(), predictions.end());
+      for (std::size_t s = 0; s < kSeries; ++s) {
+        batch[s] = {keys[s], streams[s][i]};
+      }
+      engine.observe(batch);
+    }
+    return forecasts;
+  };
+
+  PredictionEngine shared(predictors::make_paper_pool(5), config);
+  ASSERT_EQ(shared.threads(), 3u);
+  std::vector<std::vector<Prediction>> got(2);
+  std::thread other([&] { got[1] = drive(shared, 1); });
+  got[0] = drive(shared, 0);
+  other.join();
+  EXPECT_GT(shared.stats().retrains, 0u);
+
+  auto single = config;
+  single.threads = 1;
+  for (std::size_t caller = 0; caller < got.size(); ++caller) {
+    PredictionEngine reference(predictors::make_paper_pool(5), single);
+    const auto want = drive(reference, caller);
+    ASSERT_EQ(got[caller].size(), want.size());
+    std::size_t ready = 0;
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      ASSERT_EQ(got[caller][k].ready, want[k].ready)
+          << "caller " << caller << " #" << k;
+      if (!want[k].ready) continue;
+      ++ready;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[caller][k].value),
+                std::bit_cast<std::uint64_t>(want[k].value))
+          << "caller " << caller << " #" << k;
+      ASSERT_EQ(got[caller][k].label, want[k].label);
+    }
+    EXPECT_EQ(ready, kSeries * (kSteps - config.train_samples));
+  }
 }
 
 TEST(PredictionEngine, PredictUnknownSeriesIsNotReady) {

@@ -1,39 +1,20 @@
-// Tests for the experiment-sweep thread pool.
+// Tests for the fork-join thread pool.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace larp {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[i].get(), i * i);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW((void)f.get(), std::runtime_error);
-}
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
@@ -76,36 +57,6 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
   EXPECT_GE(pool.size(), 1u);
 }
 
-TEST(ThreadPool, ShutdownDrainsQueuedTasksAndIsIdempotent) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.submit([&] { ++done; }));
-  }
-  pool.shutdown();
-  EXPECT_TRUE(pool.stopped());
-  EXPECT_EQ(done.load(), 32);  // queued work ran before the join
-  for (auto& f : futures) f.get();
-  pool.shutdown();  // second call is a no-op
-  EXPECT_TRUE(pool.stopped());
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  EXPECT_THROW((void)pool.submit([] { return 1; }), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForAfterShutdownThrowsWithoutHanging) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  std::atomic<int> count{0};
-  EXPECT_THROW(pool.parallel_for(0, 10, [&](std::size_t) { ++count; }),
-               std::runtime_error);
-  EXPECT_EQ(count.load(), 0);
-}
-
 TEST(ThreadPool, ParallelForFewerIterationsThanChunkSlots) {
   // total < size()*4 requested chunks: every index must run exactly once and
   // the call must return (no lost completion credit for skipped slots).
@@ -132,6 +83,76 @@ TEST(ThreadPool, ParallelForTailChunksPastEnd) {
       hits[i - begin].fetch_add(1);
     });
     for (std::size_t i = 0; i < total; ++i) EXPECT_EQ(hits[i].load(), 1);
+  }
+}
+
+// Many tiny ranges from one caller, then from two at once: each call's
+// completion must not touch the caller's frame once the caller may return
+// (the stack slot is reused by the next call).  Run under TSan in CI.
+TEST(ThreadPool, ManyTinyCallsFromOneAndTwoCallers) {
+  ThreadPool pool(2);
+  const auto drive = [&pool] {
+    for (int call = 0; call < 20000; ++call) {
+      std::array<int, 3> hits{};
+      pool.parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; });
+      for (int h : hits) ASSERT_EQ(h, 1);
+    }
+  };
+  drive();
+  std::thread other(drive);
+  drive();
+  other.join();
+}
+
+TEST(ThreadPool, ConcurrentCallersSeeEveryIndexAndTheirOwnException) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3u);
+  const auto drive = [&pool](const std::string& name) {
+    for (int call = 0; call < 300; ++call) {
+      std::vector<std::atomic<int>> hits(64);
+      try {
+        pool.parallel_for(0, hits.size(), [&](std::size_t i) {
+          ++hits[i];
+          if (i % 16 == 5) throw std::runtime_error(name);
+        });
+        ADD_FAILURE() << name << ": no exception";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), name);
+      }
+      for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << name;
+    }
+  };
+  std::thread other(drive, "other");
+  drive("main");
+  other.join();
+}
+
+TEST(ThreadPool, PoolOfOneRunsOnTheCallingThread) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  std::vector<std::thread::id> ran_on(16);
+  pool.parallel_for(0, ran_on.size(),
+                    [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+// The work, and the memory it allocates, stays on the pool's own threads.
+TEST(ThreadPool, ForkedRangeRunsOnlyOnWorkers) {
+  ThreadPool pool(2);
+  std::vector<std::thread::id> ran_on(64);
+  pool.parallel_for(0, ran_on.size(),
+                    [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+  for (const auto& id : ran_on) EXPECT_NE(id, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, DestroyRightAfterCallReturnsIsClean) {
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> count{0};
+    {
+      ThreadPool pool(3);
+      pool.parallel_for(0, 8, [&](std::size_t) { ++count; });
+    }
+    ASSERT_EQ(count.load(), 8);
   }
 }
 

@@ -25,7 +25,8 @@
 //   --train-frac F   forecast: training prefix share (default 0.5)
 //   --series N       serve-sim: concurrent series    (default 256)
 //   --steps N        serve-sim: post-warm-up steps   (default 96)
-//   --threads N      serve-sim: worker threads (0 = all cores)
+//   --threads N      serve-sim/serve/replicate/follow: engine parallelism
+//                    (0 = all cores; 1 = no worker, the caller runs shards)
 //   --shards N       serve-sim: engine shards        (default 16)
 //   --data-dir P     serve-sim: durability directory (snapshots + WAL)
 //   --snapshot-every N  serve-sim: snapshot cadence in steps (0 = end only)
