@@ -1,11 +1,11 @@
-// Selector cost/accuracy grid: the O(1) hardware-style fast tier
-// (tournament / perceptron / global-history) head-to-head against the
-// paper's k-NN selection and the hindsight oracle.
+// Selector cost/accuracy grid: the NWS-style error-tracking selectors
+// (cumulative / windowed / EWMA MSE) head-to-head against the paper's k-NN
+// selection and the hindsight oracle.
 //
 // Two measurements:
 //   * select() micro-cost — ns/select and selects/sec for every selector,
-//     the k-NN rows at a catalog-typical index size.  The fast tier's
-//     reason to exist is this column: counter argmax vs index query.
+//     the k-NN rows at a catalog-typical index size: an argmin over P
+//     running errors vs an index query.
 //   * accuracy — per-VM-family MSE ratio vs the hindsight oracle over the
 //     catalog's test halves, every selector scoring the SAME pool forecasts
 //     on the same walk (so the ratio isolates pure selection skill).
@@ -31,12 +31,9 @@
 #include "ml/normalizer.hpp"
 #include "ml/pca.hpp"
 #include "predictors/pool.hpp"
-#include "selection/history_selector.hpp"
 #include "selection/knn_selector.hpp"
 #include "selection/nws_selector.hpp"
-#include "selection/perceptron_selector.hpp"
 #include "selection/selector.hpp"
-#include "selection/tournament_selector.hpp"
 #include "tracegen/catalog.hpp"
 
 namespace {
@@ -127,16 +124,6 @@ std::vector<CostRow> bench_select_cost(bool quick) {
     std::size_t iterations;
   };
   std::vector<Candidate> candidates;
-  candidates.push_back({"Tournament(2b)",
-                        std::make_unique<selection::TournamentSelector>(pool_size),
-                        fast_iters});
-  candidates.push_back({"Perceptron",
-                        std::make_unique<selection::PerceptronSelector>(pool_size),
-                        fast_iters});
-  candidates.push_back(
-      {"GlobalHistory(4,64)",
-       std::make_unique<selection::GlobalHistorySelector>(pool_size),
-       fast_iters});
   candidates.push_back(
       {"Cum.MSE",
        std::make_unique<selection::CumulativeMseSelector>(pool_size),
@@ -232,14 +219,6 @@ TraceScore score_trace(const std::string& vm, const std::string& metric) {
   const std::size_t pool_size = pool.size();
   std::vector<std::pair<std::string, std::unique_ptr<selection::Selector>>>
       selectors;
-  selectors.emplace_back(
-      "Tournament(2b)",
-      std::make_unique<selection::TournamentSelector>(pool_size));
-  selectors.emplace_back(
-      "Perceptron", std::make_unique<selection::PerceptronSelector>(pool_size));
-  selectors.emplace_back(
-      "GlobalHistory(4,64)",
-      std::make_unique<selection::GlobalHistorySelector>(pool_size));
   selectors.emplace_back(
       "Cum.MSE",
       std::make_unique<selection::CumulativeMseSelector>(pool_size));
@@ -413,16 +392,14 @@ int main(int argc, char** argv) {
     }
   }
   larp::bench::banner("Selector cost/accuracy grid",
-                      "O(1) fast tier vs k-NN selection vs hindsight oracle");
+                      "NWS error tracking vs k-NN selection vs hindsight oracle");
   const auto cost = bench_select_cost(quick);
   const auto accuracy = bench_accuracy(quick);
   std::printf(
-      "\nexpected shape: the three fast selectors sit at a few ns/select\n"
-      "(a P-way argmax over bytes of state) — two orders of magnitude under\n"
-      "the k-NN index query — while their MSE-vs-oracle ratio stays in the\n"
-      "same band as k-NN on most families: the cold tier trades a little\n"
-      "selection skill for a select() cheap enough to serve from the very\n"
-      "first window.\n");
+      "\nexpected shape: the MSE-tracking selectors sit at a few ns/select\n"
+      "(a P-way argmin over running errors) — two orders of magnitude under\n"
+      "the k-NN index query — but need every pool member's forecast each\n"
+      "step to keep their errors current, which k-NN does not.\n");
   if (json_path) write_json(json_path, cost, accuracy);
   return 0;
 }

@@ -260,7 +260,6 @@ std::vector<BatchSweepPoint> bench_batch_sweep(const fs::path& scratch,
 }
 
 struct StorageMode {
-  std::string name;
   std::uint64_t wal_bytes = 0;  // on-disk log bytes for the whole run
   std::uint64_t frames = 0;
   std::uint64_t records = 0;            // logical ops staged
@@ -272,19 +271,17 @@ struct StorageMode {
   std::uint64_t snapshot_encoded_bytes = 0;  // v4 accounting: actual cost
 };
 
-// Storage efficiency of the payload codec (engine payload v4): the same
-// deterministic run logged with compressed block frames vs legacy per-op
-// frames, then recovered from the WAL alone so restore_ms is dominated by
-// replay.  bytes/series/hour assumes the paper's 5-minute sample cadence
-// (12 observe+predict rounds per series-hour).
-StorageMode bench_storage_mode(const fs::path& dir, bool compress,
-                               std::size_t series, std::size_t rounds) {
+// Storage efficiency of the payload codec (engine payload v4): a
+// deterministic run logged with compressed block frames, then recovered from
+// the WAL alone so restore_ms is dominated by replay.  bytes/series/hour
+// assumes the paper's 5-minute sample cadence (12 observe+predict rounds per
+// series-hour).
+StorageMode bench_storage_mode(const fs::path& dir, std::size_t series,
+                               std::size_t rounds) {
   fs::remove_all(dir);
   StorageMode m;
-  m.name = compress ? "compressed" : "raw";
-  serve::EngineConfig config =
+  const serve::EngineConfig config =
       engine_config(dir, persist::FsyncPolicy::EveryN);
-  config.durability.compress_payloads = compress;
   {
     serve::PredictionEngine engine(predictors::make_paper_pool(5), config);
     Workload load(series);
@@ -331,7 +328,7 @@ StorageMode bench_storage_mode(const fs::path& dir, bool compress,
   return m;
 }
 
-std::vector<StorageMode> bench_storage(const fs::path& scratch, bool quick) {
+StorageMode bench_storage(const fs::path& scratch, bool quick) {
   const std::size_t series = quick ? 64 : 256;
   const std::size_t rounds = quick ? 64 : 240;  // 240 rounds = 20h at 5-min
   std::printf(
@@ -340,25 +337,15 @@ std::vector<StorageMode> bench_storage(const fs::path& scratch, bool quick) {
   std::printf("%12s %12s %10s %12s %16s %12s %14s\n", "payload", "wal bytes",
               "B/frame", "B/series-h", "snapshot bytes", "snap raw",
               "restore ms");
-  std::vector<StorageMode> modes;
-  for (const bool compress : {false, true}) {
-    StorageMode m =
-        bench_storage_mode(scratch / "storage", compress, series, rounds);
-    std::printf("%12s %12llu %10.1f %12.1f %16llu %12llu %14.2f\n",
-                m.name.c_str(),
-                static_cast<unsigned long long>(m.wal_bytes),
-                m.wal_bytes_per_frame, m.bytes_per_series_hour,
-                static_cast<unsigned long long>(m.snapshot_file_bytes),
-                static_cast<unsigned long long>(m.snapshot_raw_bytes),
-                m.restore_ms);
-    modes.push_back(std::move(m));
-  }
-  if (modes.size() == 2 && modes[1].bytes_per_series_hour > 0) {
-    std::printf("  WAL bytes/series/hour reduction: %.1fx\n",
-                modes[0].bytes_per_series_hour /
-                    modes[1].bytes_per_series_hour);
-  }
-  return modes;
+  const StorageMode m =
+      bench_storage_mode(scratch / "storage", series, rounds);
+  std::printf("%12s %12llu %10.1f %12.1f %16llu %12llu %14.2f\n",
+              "compressed", static_cast<unsigned long long>(m.wal_bytes),
+              m.wal_bytes_per_frame, m.bytes_per_series_hour,
+              static_cast<unsigned long long>(m.snapshot_file_bytes),
+              static_cast<unsigned long long>(m.snapshot_raw_bytes),
+              m.restore_ms);
+  return m;
 }
 
 struct SnapshotPoint {
@@ -412,8 +399,7 @@ SnapshotPoint bench_snapshot_cycle(const fs::path& scratch, bool quick) {
 
 void write_json(const char* path, const std::vector<WalPoint>& wal,
                 const std::vector<BatchSweepPoint>& sweep,
-                const std::vector<StorageMode>& storage,
-                const SnapshotPoint& snap) {
+                const StorageMode& storage, const SnapshotPoint& snap) {
   std::FILE* out = std::fopen(path, "w");
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", path);
@@ -437,26 +423,22 @@ void write_json(const char* path, const std::vector<WalPoint>& wal,
                  sweep[i].overhead_pct, sweep[i].async_rate,
                  sweep[i].async_overhead_pct, i + 1 < sweep.size() ? "," : "");
   }
-  std::fprintf(out, "    ],\n    \"storage_codec\": [\n");
-  for (std::size_t i = 0; i < storage.size(); ++i) {
-    const StorageMode& m = storage[i];
-    std::fprintf(out,
-                 "      {\"payload\": \"%s\", \"wal_bytes\": %llu, "
-                 "\"frames\": %llu, \"records\": %llu, "
-                 "\"wal_bytes_per_frame\": %.1f, "
-                 "\"bytes_per_series_hour\": %.1f, "
-                 "\"snapshot_bytes\": %llu, \"snapshot_raw_bytes\": %llu, "
-                 "\"snapshot_encoded_bytes\": %llu, "
-                 "\"restore_ms\": %.2f}%s\n",
-                 m.name.c_str(), static_cast<unsigned long long>(m.wal_bytes),
-                 static_cast<unsigned long long>(m.frames),
-                 static_cast<unsigned long long>(m.records),
-                 m.wal_bytes_per_frame, m.bytes_per_series_hour,
-                 static_cast<unsigned long long>(m.snapshot_file_bytes),
-                 static_cast<unsigned long long>(m.snapshot_raw_bytes),
-                 static_cast<unsigned long long>(m.snapshot_encoded_bytes),
-                 m.restore_ms, i + 1 < storage.size() ? "," : "");
-  }
+  std::fprintf(out,
+               "    ],\n    \"storage_codec\": [\n"
+               "      {\"payload\": \"compressed\", \"wal_bytes\": %llu, "
+               "\"frames\": %llu, \"records\": %llu, "
+               "\"wal_bytes_per_frame\": %.1f, "
+               "\"bytes_per_series_hour\": %.1f, "
+               "\"snapshot_bytes\": %llu, \"snapshot_raw_bytes\": %llu, "
+               "\"snapshot_encoded_bytes\": %llu, \"restore_ms\": %.2f}\n",
+               static_cast<unsigned long long>(storage.wal_bytes),
+               static_cast<unsigned long long>(storage.frames),
+               static_cast<unsigned long long>(storage.records),
+               storage.wal_bytes_per_frame, storage.bytes_per_series_hour,
+               static_cast<unsigned long long>(storage.snapshot_file_bytes),
+               static_cast<unsigned long long>(storage.snapshot_raw_bytes),
+               static_cast<unsigned long long>(storage.snapshot_encoded_bytes),
+               storage.restore_ms);
   std::fprintf(out,
                "    ],\n    \"snapshot_cycle\": {\"series\": %zu, "
                "\"snapshot_ms\": %.2f, \"snapshot_max_shard_pause_ms\": %.2f, "

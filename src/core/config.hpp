@@ -7,7 +7,6 @@
 
 #include "ml/knn.hpp"
 #include "ml/pca.hpp"
-#include "selection/tiered_selector.hpp"
 
 namespace larp::core {
 
@@ -87,17 +86,6 @@ struct LarConfig {
   /// the retained-variance information), instead of the raw normalized
   /// window the paper's §6.2 describes.
   bool predict_in_pca_space = false;
-
-  /// Constant-time fast tier (DESIGN.md §10): when not None, the trained
-  /// selector is a selection::TieredSelector — an O(1) hardware-style
-  /// selector serves while the series is cold (train_fast()) and hands off
-  /// to the k-NN/centroid classifier the moment full training installs it,
-  /// bit-identical to running the classifier alone from then on.
-  /// Incompatible with predict_in_pca_space (the cold tier has no fitted
-  /// PCA to reconstruct windows through).
-  selection::FastTier fast_tier = selection::FastTier::None;
-  /// Counter widths / history depth / readiness threshold of the fast tier.
-  selection::FastTierConfig fast;
 
   [[nodiscard]] ml::PcaPolicy pca_policy() const {
     return ml::PcaPolicy{pca_components, pca_min_variance};

@@ -22,12 +22,6 @@ LarPredictor::LarPredictor(predictors::PredictorPool pool, LarConfig config)
         "LarPredictor: window smaller than the pool's minimum history");
   }
   if (config_.knn_k == 0) throw InvalidArgument("LarPredictor: k must be positive");
-  if (config_.fast_tier != selection::FastTier::None &&
-      config_.predict_in_pca_space) {
-    throw InvalidArgument(
-        "LarPredictor: fast_tier is incompatible with predict_in_pca_space "
-        "(the cold tier has no fitted PCA)");
-  }
 }
 
 std::vector<std::size_t> label_best_predictors(
@@ -99,32 +93,16 @@ void LarPredictor::train(std::span<const double> raw_series) {
   pca_ = ml::Pca{};
   pca_.fit(framed.windows, config_.pca_policy());
 
-  std::unique_ptr<selection::Selector> primary;
   if (config_.classifier == ClassifierKind::NearestCentroid) {
     ml::NearestCentroidClassifier classifier;
     classifier.fit(pca_.transform(framed.windows), training_labels_);
-    primary = std::make_unique<selection::CentroidSelector>(
+    selector_ = std::make_unique<selection::CentroidSelector>(
         pca_, std::move(classifier));
   } else {
     ml::KnnClassifier classifier(config_.knn_k, config_.knn_backend);
     classifier.fit(pca_.transform(framed.windows), training_labels_);
-    primary =
+    selector_ =
         std::make_unique<selection::KnnSelector>(pca_, std::move(classifier));
-  }
-  if (tiered_ != nullptr) {
-    // Handoff: full training on a fast-serving predictor promotes the
-    // classifier in place; the tier keeps its trained counters but every
-    // future select() routes to the (ready) primary.
-    tiered_->promote(std::move(primary));
-  } else if (config_.fast_tier != selection::FastTier::None) {
-    auto tiered = std::make_unique<selection::TieredSelector>(
-        selection::make_fast_selector(config_.fast_tier, pool_.size(),
-                                      config_.fast),
-        std::move(primary));
-    tiered_ = tiered.get();
-    selector_ = std::move(tiered);
-  } else {
-    selector_ = std::move(primary);
   }
 
   // Warm online state: the window is the training tail and the pool members
@@ -144,67 +122,6 @@ void LarPredictor::train(std::span<const double> raw_series) {
                         << " labeled windows, pool of " << pool_.size();
 }
 
-void LarPredictor::train_fast(std::span<const double> raw_series) {
-  if (config_.fast_tier == selection::FastTier::None) {
-    throw StateError("LarPredictor::train_fast: no fast tier configured");
-  }
-  if (raw_series.size() < config_.window + 2) {
-    throw InvalidArgument(
-        "LarPredictor::train_fast: series too short (need window+2)");
-  }
-  for (double value : raw_series) {
-    if (!std::isfinite(value)) {
-      throw InvalidArgument(
-          "LarPredictor::train_fast: non-finite sample in training series");
-    }
-  }
-
-  normalizer_.fit(raw_series);
-  const auto normalized = normalizer_.transform(raw_series);
-  pool_.fit_all(normalized);
-
-  // Warm the O(1) tier with the same walk the labeling pass uses: prime the
-  // pool with the first window, then per step run every member, let the tier
-  // pick (priming its window features), and feed it the hindsight outcome.
-  auto fast = selection::make_fast_selector(config_.fast_tier, pool_.size(),
-                                            config_.fast);
-  pool_.reset_all();
-  for (std::size_t i = 0; i < config_.window; ++i) {
-    pool_.observe_all(normalized[i]);
-  }
-  const std::size_t count = normalized.size() - config_.window;
-  scratch_.forecasts.reserve(pool_.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto win =
-        std::span<const double>(normalized).subspan(i, config_.window);
-    const double target = normalized[i + config_.window];
-    pool_.predict_all_into(win, scratch_.forecasts);
-    (void)fast->select(win);
-    fast->record(scratch_.forecasts, target);
-    pool_.observe_all(target);
-  }
-
-  // No PCA / labels until the full train() promotes the classifier.
-  pca_ = ml::Pca{};
-  training_labels_.clear();
-  auto tiered = std::make_unique<selection::TieredSelector>(std::move(fast));
-  tiered_ = tiered.get();
-  selector_ = std::move(tiered);
-
-  online_window_.assign(normalized.end() - config_.window, normalized.end());
-  observed_count_ = raw_series.size();
-  pending_forecast_.reset();
-  residuals_.emplace(std::max<std::size_t>(1, config_.uncertainty_window));
-  resolved_forecasts_ = 0;
-  const std::size_t horizon =
-      config_.label_window == 0 ? config_.window : config_.label_window;
-  online_label_trackers_.assign(pool_.size(), stats::WindowedMse(horizon));
-  online_windows_learned_ = 0;
-
-  LARP_LOG_INFO("core") << "LarPredictor fast-trained on " << raw_series.size()
-                        << " points (" << selector_->name() << ")";
-}
-
 void LarPredictor::require_trained() const {
   if (!trained()) throw StateError("LarPredictor: not trained");
 }
@@ -221,23 +138,10 @@ void LarPredictor::observe(double raw_value) {
   }
   const double z = normalizer_.transform(raw_value);
 
-  // Fast-tier feedback: while the tiered selector still serves from the
-  // O(1) tier, each observation resolves the completed window's full-pool
-  // forecasts into record() so the counters keep training.  Running every
-  // member is the documented cold-phase cost; it stops at handoff, restoring
-  // the single-expert hot path.
-  if (serving_fast_tier() && online_window_.size() == config_.window) {
-    pool_.predict_all_into(online_window_, scratch_.forecasts);
-    (void)selector_->select(online_window_);  // refresh window features
-    selector_->record(scratch_.forecasts, z);
-  }
-
   // Online learning: the incoming value completes the current window; run
   // the whole pool on it (training-phase semantics), derive the window's
-  // best-predictor label, and grow the classifier's index.  Suppressed while
-  // the fast tier serves — record() above is the cold tier's training signal.
-  if (config_.online_learning && !serving_fast_tier() &&
-      online_window_.size() == config_.window &&
+  // best-predictor label, and grow the classifier's index.
+  if (config_.online_learning && online_window_.size() == config_.window &&
       selector_->supports_online_learning()) {
     pool_.predict_all_into(online_window_, scratch_.forecasts);
     std::size_t label;
@@ -348,13 +252,9 @@ namespace {
 
 constexpr std::uint8_t kSelectorKnn = 1;
 constexpr std::uint8_t kSelectorCentroid = 2;
-constexpr std::uint8_t kSelectorTiered = 3;
 
-/// kind byte + projection + classifier of a trained primary (classifier)
-/// selector — the pre-tiered v1/v2 payload layout, reused verbatim inside
-/// the tiered envelope.
-void save_primary_selector(persist::io::Writer& w,
-                           const selection::Selector& selector) {
+/// kind byte + projection + classifier of the trained selector.
+void save_selector(persist::io::Writer& w, const selection::Selector& selector) {
   if (const auto* knn =
           dynamic_cast<const selection::KnnSelector*>(&selector)) {
     w.u8(kSelectorKnn);
@@ -370,8 +270,13 @@ void save_primary_selector(persist::io::Writer& w,
   }
 }
 
-std::unique_ptr<selection::Selector> load_primary_selector(
-    persist::io::Reader& r, std::uint8_t kind) {
+std::unique_ptr<selection::Selector> load_selector(persist::io::Reader& r) {
+  // Checked before any payload is parsed: kind 3 was the removed cold-start
+  // tier's envelope, whose bytes are not a projection.
+  const std::uint8_t kind = r.u8();
+  if (kind != kSelectorKnn && kind != kSelectorCentroid) {
+    throw persist::CorruptData("LarPredictor: unknown serialized selector kind");
+  }
   ml::Pca selector_pca;
   selector_pca.load(r);
   if (kind == kSelectorKnn) {
@@ -380,13 +285,10 @@ std::unique_ptr<selection::Selector> load_primary_selector(
     return std::make_unique<selection::KnnSelector>(std::move(selector_pca),
                                                     std::move(classifier));
   }
-  if (kind == kSelectorCentroid) {
-    ml::NearestCentroidClassifier classifier;
-    classifier.load(r);
-    return std::make_unique<selection::CentroidSelector>(
-        std::move(selector_pca), std::move(classifier));
-  }
-  throw persist::CorruptData("LarPredictor: unknown serialized selector kind");
+  ml::NearestCentroidClassifier classifier;
+  classifier.load(r);
+  return std::make_unique<selection::CentroidSelector>(std::move(selector_pca),
+                                                       std::move(classifier));
 }
 
 void save_windowed(persist::io::Writer& w, const stats::WindowedMse& m) {
@@ -417,16 +319,7 @@ void LarPredictor::save_state(persist::io::Writer& w) const {
   normalizer_.save(w);
   pca_.save(w);
 
-  if (const auto* tiered =
-          dynamic_cast<const selection::TieredSelector*>(selector_.get())) {
-    w.u8(kSelectorTiered);
-    selection::save_fast_selector(w, tiered->fast_tier());
-    const selection::Selector* primary = tiered->primary_tier();
-    w.boolean(primary != nullptr);
-    if (primary != nullptr) save_primary_selector(w, *primary);
-  } else {
-    save_primary_selector(w, *selector_);
-  }
+  save_selector(w, *selector_);
 
   w.u64_span(training_labels_);
   w.f64_span(online_window_);
@@ -450,26 +343,13 @@ void LarPredictor::load_state(persist::io::Reader& r) {
   if (!r.boolean()) {
     // Serialized before training: nothing beyond the construction state.
     selector_.reset();
-    tiered_ = nullptr;
     return;
   }
 
   normalizer_.load(r);
   pca_.load(r);
 
-  const std::uint8_t kind = r.u8();
-  tiered_ = nullptr;
-  if (kind == kSelectorTiered) {
-    auto fast = selection::load_fast_selector(r);
-    std::unique_ptr<selection::Selector> primary;
-    if (r.boolean()) primary = load_primary_selector(r, r.u8());
-    auto tiered = std::make_unique<selection::TieredSelector>(
-        std::move(fast), std::move(primary));
-    tiered_ = tiered.get();
-    selector_ = std::move(tiered);
-  } else {
-    selector_ = load_primary_selector(r, kind);
-  }
+  selector_ = load_selector(r);
 
   training_labels_ = r.u64_vector();
   online_window_ = r.f64_vector();

@@ -58,23 +58,7 @@ class LarPredictor {
   /// tail of the training series, so predict_next() continues seamlessly.
   void train(std::span<const double> raw_series);
 
-  /// Cold-start training pass for the constant-time fast tier (DESIGN.md
-  /// §10): fits the normalizer and the pool exactly like train(), but
-  /// instead of the labeling walk + PCA + classifier it warms an O(1)
-  /// hardware-style selector (LarConfig::fast_tier) on the series and
-  /// installs it behind a selection::TieredSelector.  The predictor serves
-  /// immediately; a later train() on the same instance promotes the full
-  /// classifier and hands off.  Throws StateError when no fast tier is
-  /// configured; same length/finiteness requirements as train().
-  void train_fast(std::span<const double> raw_series);
-
   [[nodiscard]] bool trained() const noexcept { return selector_ != nullptr; }
-
-  /// True while forecasts are served by the O(1) fast tier (train_fast()
-  /// ran but full training has not yet promoted the classifier).
-  [[nodiscard]] bool serving_fast_tier() const noexcept {
-    return tiered_ != nullptr && !tiered_->serving_primary();
-  }
 
   /// One forecast made by the selected expert only.
   struct Forecast {
@@ -155,9 +139,6 @@ class LarPredictor {
   ml::ZScoreNormalizer normalizer_;
   ml::Pca pca_;
   std::unique_ptr<selection::Selector> selector_;
-  // Non-owning view of selector_ when it is a TieredSelector (fast tier
-  // configured); null otherwise.  Set wherever selector_ is (re)installed.
-  selection::TieredSelector* tiered_ = nullptr;
   std::vector<std::size_t> training_labels_;
   std::vector<double> online_window_;  // normalized, most recent last
   std::size_t observed_count_ = 0;

@@ -22,11 +22,6 @@ class CentroidSelector final : public Selector {
   [[nodiscard]] bool supports_online_learning() const noexcept override {
     return true;
   }
-  /// One distance per class centroid — an O(P) index query, ready from
-  /// construction.
-  [[nodiscard]] SelectorCost cost() const noexcept override {
-    return SelectorCost{SelectCostClass::kIndexQuery, 0, 0};
-  }
   [[nodiscard]] std::unique_ptr<Selector> clone() const override;
 
   [[nodiscard]] const ml::Pca& pca() const noexcept { return pca_; }

@@ -35,11 +35,6 @@ class KnnSelector final : public Selector {
   [[nodiscard]] bool supports_online_learning() const noexcept override {
     return true;
   }
-  /// An index query per select (kd-tree descent or brute-force scan); ready
-  /// from construction — the fitted index IS the training.
-  [[nodiscard]] SelectorCost cost() const noexcept override {
-    return SelectorCost{SelectCostClass::kIndexQuery, 0, 0};
-  }
   [[nodiscard]] std::unique_ptr<Selector> clone() const override;
 
   [[nodiscard]] const ml::Pca& pca() const noexcept { return pca_; }

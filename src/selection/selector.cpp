@@ -35,8 +35,6 @@ void Selector::learn(std::span<const double> /*window*/, std::size_t /*label*/) 
 
 bool Selector::supports_online_learning() const noexcept { return false; }
 
-SelectorCost Selector::cost() const noexcept { return SelectorCost{}; }
-
 bool Selector::needs_hindsight() const noexcept { return false; }
 
 std::size_t Selector::select_hindsight(std::span<const double> forecasts,

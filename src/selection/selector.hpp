@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "selection/selector_cost.hpp"
-
 namespace larp::selection {
 
 class Selector {
@@ -64,11 +62,6 @@ class Selector {
 
   /// True when learn() actually does something.
   [[nodiscard]] virtual bool supports_online_learning() const noexcept;
-
-  /// Per-select cost class and training readiness (selector_cost.hpp) — what
-  /// the serving layer reads to pick a tier per series.  The default reports
-  /// the NWS shape: full-pool feedback per step, ready from construction.
-  [[nodiscard]] virtual SelectorCost cost() const noexcept;
 
   /// True for selectors whose choice is defined in hindsight (the oracle).
   /// The runner must then score select_hindsight() instead of select().

@@ -12,9 +12,6 @@ class StaticSelector final : public Selector {
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t select(std::span<const double> window) override;
-  [[nodiscard]] SelectorCost cost() const noexcept override {
-    return SelectorCost{SelectCostClass::kConstant, 0, 0};
-  }
   [[nodiscard]] std::unique_ptr<Selector> clone() const override;
 
   [[nodiscard]] std::size_t label() const noexcept { return label_; }

@@ -38,9 +38,11 @@ std::uint64_t now_nanos() {
 //        up front so restore knows every shard's replay cut before reading
 //        any section), then the shard sections, each carrying its own
 //        traffic counters.  Written by the incremental snapshot.
-//   v3 — v2 plus the fast-tier identity (lar.fast_tier, its tuning, and
-//        fast_train_samples) in the config block and a per-shard
-//        fast_trains counter.  Older payloads load with the tier off.
+//   v3 — v2 plus the cold-start tier's fields: a tier byte, seven tuning
+//        fields and a u64 fast-train threshold in the config block, and a
+//        per-shard fast-train counter.  The tier is gone (DESIGN.md §10):
+//        the writer keeps these slots at zero, and the reader skips them
+//        but refuses a payload whose tier byte or threshold is non-zero.
 //   v4 — v3 plus Gorilla-style compression (DESIGN.md §11): a per-shard
 //        raw-vs-encoded byte accounting table after the watermark table,
 //        and shard sections that carry the WAL payload codec state
@@ -59,6 +61,11 @@ constexpr std::uint32_t kEnginePayloadVersion = 4;
 constexpr std::uint8_t kWalObserve = 0;
 constexpr std::uint8_t kWalPredict = 1;
 constexpr std::uint8_t kWalErase = 2;
+
+// The removed tier's tuning fields in the v3/v4 config block, 8 bytes each:
+// four u64 (counter bits, history length, table rows, min records) and three
+// f64 (perceptron rate and clip, error decay).
+constexpr std::size_t kTierTuningFields = 7;
 
 std::uint8_t checked_enum(persist::io::Reader& r, const char* what) {
   const std::uint8_t v = r.u8();
@@ -92,17 +99,11 @@ void save_engine_config(persist::io::Writer& w, const EngineConfig& c) {
   w.u64(c.train_samples);
   w.u64(c.history_capacity);
   w.u64(c.audit_every);
-  // v3: the cold-start fast tier is identity-defining too — a restored
-  // engine must fast-train/hand off at exactly the same observations.
-  w.u8(static_cast<std::uint8_t>(l.fast_tier));
-  w.u64(l.fast.counter_bits);
-  w.u64(l.fast.history_length);
-  w.u64(l.fast.table_rows);
-  w.u64(l.fast.min_records);
-  w.f64(l.fast.perceptron_lr);
-  w.f64(l.fast.perceptron_clip);
-  w.f64(l.fast.error_decay);
-  w.u64(c.fast_train_samples);
+  // The removed tier's slots, always off: tier byte, tuning fields and
+  // fast-train threshold.
+  w.u8(0);
+  for (std::size_t i = 0; i < kTierTuningFields; ++i) w.u64(0);
+  w.u64(0);
 }
 
 void load_engine_config(persist::io::Reader& r, EngineConfig& c,
@@ -132,24 +133,16 @@ void load_engine_config(persist::io::Reader& r, EngineConfig& c,
   c.history_capacity = static_cast<std::size_t>(r.u64());
   c.audit_every = static_cast<std::size_t>(r.u64());
   if (payload_version >= 3) {
+    // A snapshot taken with the cold-start tier on would restore into an
+    // engine that serves different forecasts, so it is refused.
     const std::uint8_t tier = r.u8();
-    if (tier > static_cast<std::uint8_t>(selection::FastTier::GlobalHistory)) {
-      throw persist::CorruptData("engine snapshot: bad fast tier");
+    (void)r.bytes(kTierTuningFields * sizeof(std::uint64_t));
+    const std::uint64_t threshold = r.u64();
+    if (tier != 0 || threshold != 0) {
+      throw persist::CorruptData(
+          "engine snapshot: written with the cold-start selector tier on, "
+          "which was removed (DESIGN.md §10)");
     }
-    l.fast_tier = static_cast<selection::FastTier>(tier);
-    l.fast.counter_bits = static_cast<unsigned>(r.u64());
-    l.fast.history_length = static_cast<std::size_t>(r.u64());
-    l.fast.table_rows = static_cast<std::size_t>(r.u64());
-    l.fast.min_records = static_cast<std::size_t>(r.u64());
-    l.fast.perceptron_lr = r.f64();
-    l.fast.perceptron_clip = r.f64();
-    l.fast.error_decay = r.f64();
-    c.fast_train_samples = static_cast<std::size_t>(r.u64());
-  } else {
-    // Pre-tier snapshot: the tier did not exist, so it stays off.
-    l.fast_tier = selection::FastTier::None;
-    l.fast = selection::FastTierConfig{};
-    c.fast_train_samples = 0;
   }
 }
 
@@ -172,20 +165,6 @@ PredictionEngine::PredictionEngine(predictors::PredictorPool pool_prototype,
   }
   if (config_.history_capacity < config_.train_samples) {
     config_.history_capacity = config_.train_samples;
-  }
-  if (config_.fast_train_samples > 0) {
-    if (config_.lar.fast_tier == selection::FastTier::None) {
-      throw InvalidArgument(
-          "PredictionEngine: fast_train_samples requires lar.fast_tier");
-    }
-    if (config_.fast_train_samples < config_.lar.window + 2) {
-      throw InvalidArgument(
-          "PredictionEngine: fast_train_samples must be at least window + 2");
-    }
-    if (config_.fast_train_samples >= config_.train_samples) {
-      throw InvalidArgument(
-          "PredictionEngine: fast_train_samples must be below train_samples");
-    }
   }
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
@@ -325,37 +304,12 @@ void PredictionEngine::train_series(Shard& shard, const tsdb::SeriesKey& key,
     shard.predictions.prune_before(key, state.next_ts + 1);
     shard.retrains.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // A predictor already present here is the fast tier reaching full
-    // training depth: train() promotes the classifier in place (handoff).
-    const bool handoff = state.predictor.has_value();
-    if (!handoff) {
-      state.predictor.emplace(pool_prototype_.clone(), config_.lar);
-    }
+    state.predictor.emplace(pool_prototype_.clone(), config_.lar);
     state.predictor->train(recent);
-    if (handoff) {
-      // Forget the cold tier's forecasts (including any still-pending one)
-      // and restart the audit clock, so from here the series is in exactly
-      // the state a never-fast engine reaches at its training step — the
-      // forecast stream onward is bit-identical.
-      shard.predictions.prune_before(key, state.next_ts + 1);
-      state.since_audit = 0;
-      shard.fast_count.fetch_sub(1, std::memory_order_relaxed);
-    }
     shard.trains.fetch_add(1, std::memory_order_relaxed);
     shard.trained_count.fetch_add(1, std::memory_order_relaxed);
   }
   state.retrain_requested = false;
-}
-
-void PredictionEngine::fast_train_series(Shard& shard, SeriesState& state) {
-  const std::size_t take =
-      std::min(state.history.size(), config_.train_samples);
-  const std::vector<double> recent(state.history.end() - take,
-                                   state.history.end());
-  state.predictor.emplace(pool_prototype_.clone(), config_.lar);
-  state.predictor->train_fast(recent);
-  shard.fast_trains.fetch_add(1, std::memory_order_relaxed);
-  shard.fast_count.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PredictionEngine::absorb(Shard& shard, const tsdb::SeriesKey& key,
@@ -389,28 +343,9 @@ void PredictionEngine::absorb(Shard& shard, const tsdb::SeriesKey& key,
     return;
   }
 
-  // Cold-start tier: fast-train as soon as fast_train_samples have
-  // accumulated, so the series serves O(1)-selected forecasts while the
-  // full training window is still filling.
-  if (!state.predictor && fast_tier_enabled() &&
-      state.history.size() >= config_.fast_train_samples) {
-    fast_train_series(shard, state);
-    return;
-  }
-
-  // Handoff: a fast-serving series reaches full training depth — promote
-  // the classifier (bit-identical to a never-fast engine from here on).
-  if (state.predictor && state.predictor->serving_fast_tier() &&
-      state.history.size() >= config_.train_samples) {
-    train_series(shard, key, state, /*is_retrain=*/false);
-    return;
-  }
-
   // QA audit on cadence; a breach flags the series and we re-train from the
-  // retained history right away.  The fast tier is exempt: QA judges the
-  // promoted classifier only (the audit clock starts at handoff).
-  if (state.predictor && !state.predictor->serving_fast_tier() &&
-      config_.audit_every > 0 &&
+  // retained history right away.
+  if (state.predictor && config_.audit_every > 0 &&
       ++state.since_audit >= config_.audit_every) {
     state.since_audit = 0;
     // The lock-free mirror counts exactly what qa->audits_performed()
@@ -428,23 +363,16 @@ void PredictionEngine::observe_shard(Shard& shard,
                                      std::span<const Observation> batch,
                                      std::span<const std::size_t> indices) {
   if (shard.wal) {
-    // Group commit: this (shard, batch) pair is staged and flushed with one
-    // write + one sync decision, before any of the mutations it describes
-    // is applied — log-before-apply at group granularity, op order
-    // identical to apply order.  Compressed: ONE block frame for the whole
-    // batch, weighted by its op count so fsync policies keep counting
-    // records; legacy: one frame per op.
-    if (config_.durability.compress_payloads) {
-      shard.codec.begin_block(indices.size());
-      for (std::size_t i : indices) {
-        shard.codec.add_observe(batch[i].key, batch[i].value);
-      }
-      (void)shard.wal->stage(shard.codec.finish_block(), indices.size());
-    } else {
-      for (std::size_t i : indices) {
-        wal_stage(shard, kWalObserve, batch[i].key, &batch[i].value);
-      }
+    // Group commit: this (shard, batch) pair is staged as ONE block frame
+    // and flushed with one write + one sync decision, before any of the
+    // mutations it describes is applied — log-before-apply at group
+    // granularity, op order identical to apply order.  The frame is weighted
+    // by its op count so fsync policies keep counting records.
+    shard.codec.begin_block(indices.size());
+    for (std::size_t i : indices) {
+      shard.codec.add_observe(batch[i].key, batch[i].value);
     }
+    (void)shard.wal->stage(shard.codec.finish_block(), indices.size());
     shard.wal->commit();
     maybe_notify_syncer(shard);
   }
@@ -537,16 +465,10 @@ void PredictionEngine::predict_shard(Shard& shard,
     // Logged even for untrained series (where forecast() is a no-op):
     // replay must reproduce the exact call sequence, and whether a key
     // is trained at this point is itself a function of that sequence.
-    // Staged and committed as one group, like observe().
-    if (config_.durability.compress_payloads) {
-      shard.codec.begin_block(indices.size());
-      for (std::size_t i : indices) shard.codec.add_predict(keys[i]);
-      (void)shard.wal->stage(shard.codec.finish_block(), indices.size());
-    } else {
-      for (std::size_t i : indices) {
-        wal_stage(shard, kWalPredict, keys[i], nullptr);
-      }
-    }
+    // Staged and committed as one block, like observe().
+    shard.codec.begin_block(indices.size());
+    for (std::size_t i : indices) shard.codec.add_predict(keys[i]);
+    (void)shard.wal->stage(shard.codec.finish_block(), indices.size());
     shard.wal->commit();
     maybe_notify_syncer(shard);
   }
@@ -592,7 +514,7 @@ bool PredictionEngine::erase(const tsdb::SeriesKey& key) {
   }
   Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
-  wal_log(shard, kWalErase, key, nullptr);
+  wal_log_erase(shard, key);
   return erase_locked(shard, key);
 }
 
@@ -601,11 +523,7 @@ bool PredictionEngine::erase_locked(Shard& shard, const tsdb::SeriesKey& key) {
   const bool removed = it != shard.series.end();
   if (removed) {
     if (it->second.predictor) {
-      if (it->second.predictor->serving_fast_tier()) {
-        shard.fast_count.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        shard.trained_count.fetch_sub(1, std::memory_order_relaxed);
-      }
+      shard.trained_count.fetch_sub(1, std::memory_order_relaxed);
     }
     shard.series.erase(it);
     shard.series_count.fetch_sub(1, std::memory_order_relaxed);
@@ -615,41 +533,13 @@ bool PredictionEngine::erase_locked(Shard& shard, const tsdb::SeriesKey& key) {
   return removed;
 }
 
-void PredictionEngine::wal_log(Shard& shard, std::uint8_t type,
-                               const tsdb::SeriesKey& key, const double* value) {
+void PredictionEngine::wal_log_erase(Shard& shard, const tsdb::SeriesKey& key) {
   if (!shard.wal) return;
-  if (config_.durability.compress_payloads) {
-    shard.codec.begin_block(1);
-    switch (type) {
-      case kWalObserve:
-        shard.codec.add_observe(key, *value);
-        break;
-      case kWalPredict:
-        shard.codec.add_predict(key);
-        break;
-      default:
-        shard.codec.add_erase(key);
-        break;
-    }
-    (void)shard.wal->stage(shard.codec.finish_block(), 1);
-  } else {
-    wal_stage(shard, type, key, value);
-  }
+  shard.codec.begin_block(1);
+  shard.codec.add_erase(key);
+  (void)shard.wal->stage(shard.codec.finish_block(), 1);
   shard.wal->commit();
   maybe_notify_syncer(shard);
-}
-
-void PredictionEngine::wal_stage(Shard& shard, std::uint8_t type,
-                                 const tsdb::SeriesKey& key,
-                                 const double* value) {
-  auto& payload = shard.wal_payload;
-  payload.clear();
-  payload.u8(type);
-  payload.str(key.vm_id);
-  payload.str(key.device_id);
-  payload.str(key.metric);
-  if (value != nullptr) payload.f64(*value);
-  shard.wal->stage(payload.bytes());
 }
 
 void PredictionEngine::sync_wals_if_due() {
@@ -762,7 +652,7 @@ void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
   w.f64(shard.abs_error_sum.load(std::memory_order_relaxed));
   w.f64(shard.sq_error_sum.load(std::memory_order_relaxed));
   w.u64(shard.trains.load(std::memory_order_relaxed));
-  w.u64(shard.fast_trains.load(std::memory_order_relaxed));
+  w.u64(0);  // the removed tier's fast-train counter
   w.u64(shard.retrains.load(std::memory_order_relaxed));
   w.u64(shard.erases.load(std::memory_order_relaxed));
   w.u64(shard.qa->audits_performed());
@@ -856,10 +746,7 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
   shard.sq_error_sum.store(r.f64(), std::memory_order_relaxed);
   shard.trains.store(static_cast<std::size_t>(r.u64()),
                      std::memory_order_relaxed);
-  if (payload_version >= 3) {
-    shard.fast_trains.store(static_cast<std::size_t>(r.u64()),
-                            std::memory_order_relaxed);
-  }
+  if (payload_version >= 3) (void)r.u64();  // the removed tier's counter
   shard.retrains.store(static_cast<std::size_t>(r.u64()),
                        std::memory_order_relaxed);
   shard.erases.store(static_cast<std::size_t>(r.u64()),
@@ -934,18 +821,11 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
   }
   // Re-seed the lock-free stats() mirrors from the restored series map.
   std::size_t trained = 0;
-  std::size_t fast = 0;
   for (const auto& [key, state] : shard.series) {
-    if (!state.predictor) continue;
-    if (state.predictor->serving_fast_tier()) {
-      ++fast;
-    } else {
-      ++trained;
-    }
+    if (state.predictor) ++trained;
   }
   shard.series_count.store(shard.series.size(), std::memory_order_relaxed);
   shard.trained_count.store(trained, std::memory_order_relaxed);
-  shard.fast_count.store(fast, std::memory_order_relaxed);
   return watermark;
 }
 
@@ -1233,16 +1113,7 @@ bool PredictionEngine::is_trained(const tsdb::SeriesKey& key) const {
   const Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.series.find(key);
-  return it != shard.series.end() && it->second.predictor.has_value() &&
-         !it->second.predictor->serving_fast_tier();
-}
-
-bool PredictionEngine::is_fast_serving(const tsdb::SeriesKey& key) const {
-  const Shard& shard = shard_of(key);
-  std::lock_guard lock(shard.mutex);
-  const auto it = shard.series.find(key);
-  return it != shard.series.end() && it->second.predictor.has_value() &&
-         it->second.predictor->serving_fast_tier();
+  return it != shard.series.end() && it->second.predictor.has_value();
 }
 
 EngineStats PredictionEngine::stats() const {
@@ -1257,8 +1128,6 @@ EngineStats PredictionEngine::stats() const {
     stats.trained_series +=
         shard->trained_count.load(std::memory_order_relaxed);
     stats.trains += shard->trains.load(std::memory_order_relaxed);
-    stats.fast_trains += shard->fast_trains.load(std::memory_order_relaxed);
-    stats.fast_serving += shard->fast_count.load(std::memory_order_relaxed);
     stats.retrains += shard->retrains.load(std::memory_order_relaxed);
     stats.erases += shard->erases.load(std::memory_order_relaxed);
     stats.audits += shard->audits.load(std::memory_order_relaxed);

@@ -60,13 +60,6 @@ struct DurabilityConfig {
   persist::WalConfig wal;
   /// Validating snapshots retained by snapshot(); older ones are deleted.
   std::size_t keep_snapshots = 2;
-  /// Gorilla-compressed WAL payloads (DESIGN.md §11): every batched call
-  /// stages ONE block frame per shard (delta-of-delta/XOR bit packing over
-  /// a persistent key dictionary) instead of one raw frame per op.  Off =
-  /// the legacy per-op frames, byte-identical to what pre-v4 engines wrote;
-  /// both formats replay regardless of this knob (payloads self-identify),
-  /// so it can be toggled across restarts.  Runtime knob, never serialized.
-  bool compress_payloads = true;
 };
 
 /// Replication role.  A follower's state mutates ONLY through
@@ -105,13 +98,6 @@ struct EngineConfig {
   /// Observations before a series lazily trains itself, and the number of
   /// recent samples a QA-ordered re-train uses.
   std::size_t train_samples = 144;
-  /// Cold-start tier (DESIGN.md §10): with lar.fast_tier configured and this
-  /// non-zero, a series fast-trains after this many observations and serves
-  /// O(1)-selected forecasts until train_samples arrive, when the full
-  /// training pass promotes the classifier (bit-identical to a never-fast
-  /// engine from the handoff on).  0 = off.  Must be at least
-  /// lar.window + 2 and below train_samples when enabled.
-  std::size_t fast_train_samples = 0;
   /// Raw samples retained per series (clamped up to train_samples).
   std::size_t history_capacity = 288;
   /// One QA audit per series every this many observations (0 = never).
@@ -147,9 +133,7 @@ struct EngineStats {
   std::size_t trained_series = 0;    // series past lazy training
   std::size_t observations = 0;      // samples absorbed
   std::size_t predictions = 0;       // forecasts issued
-  std::size_t trains = 0;            // lazy (full) trainings performed
-  std::size_t fast_trains = 0;       // cold-tier fast trainings performed
-  std::size_t fast_serving = 0;      // series currently serving from the tier
+  std::size_t trains = 0;            // lazy trainings performed
   std::size_t retrains = 0;          // QA-ordered re-trains
   std::size_t audits = 0;            // QA audits run
   std::size_t erases = 0;            // series torn down via erase()
@@ -269,12 +253,7 @@ class PredictionEngine {
       std::span<const std::byte> payload);
 
   [[nodiscard]] std::size_t series_count() const;
-  /// True once the series is FULLY trained (classifier serving); a series
-  /// still on the fast tier reports false — see is_fast_serving().
   [[nodiscard]] bool is_trained(const tsdb::SeriesKey& key) const;
-  /// True while the series serves forecasts from the O(1) fast tier
-  /// (fast-trained, full training pending).
-  [[nodiscard]] bool is_fast_serving(const tsdb::SeriesKey& key) const;
   [[nodiscard]] EngineStats stats() const;
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
@@ -338,14 +317,12 @@ class PredictionEngine {
     std::atomic<double> abs_error_sum{0.0};
     std::atomic<double> sq_error_sum{0.0};
     std::atomic<std::size_t> trains{0};
-    std::atomic<std::size_t> fast_trains{0};
     std::atomic<std::size_t> retrains{0};
     std::atomic<std::size_t> erases{0};
     std::atomic<std::size_t> audits{0};
     // series.size() / predictor-count mirrors, so stats() needs no lock.
     std::atomic<std::size_t> series_count{0};
     std::atomic<std::size_t> trained_count{0};
-    std::atomic<std::size_t> fast_count{0};  // series on the fast tier
     // Traffic counters live per shard (not in engine-level atomics) so each
     // shard's snapshot section is self-consistent: an incremental snapshot
     // cuts shard s at its own watermark, and counters shared across shards
@@ -356,10 +333,7 @@ class PredictionEngine {
     std::atomic<std::uint64_t> lock_wait_nanos{0};
     std::atomic<std::size_t> contended_locks{0};
     // Durability (engaged only when DurabilityConfig::data_dir is set).
-    // The payload writer is reused across frames, so steady-state WAL
-    // appends allocate nothing once capacities are established.
     std::optional<persist::WalWriter> wal;
-    persist::io::Writer wal_payload;
     // Compressed-payload state machine (dictionary + per-series XOR
     // chains), advanced at stage time by the write path and at decode time
     // by replay/replication; persisted in the v4 snapshot at the shard's
@@ -398,25 +372,10 @@ class PredictionEngine {
   void check_freshness() const;
   void train_series(Shard& shard, const tsdb::SeriesKey& key,
                     SeriesState& state, bool is_retrain);
-  /// Cold-tier training (LarPredictor::train_fast) once fast_train_samples
-  /// have accumulated; runs under the shard mutex.
-  void fast_train_series(Shard& shard, SeriesState& state);
-  /// Whether the cold-start tier is configured on (fast_tier + threshold).
-  [[nodiscard]] bool fast_tier_enabled() const noexcept {
-    return config_.fast_train_samples > 0 &&
-           config_.lar.fast_tier != selection::FastTier::None;
-  }
   bool erase_locked(Shard& shard, const tsdb::SeriesKey& key);
-  /// Appends one WAL frame (type + key [+ value]) to the shard's log.
-  /// Must run under the shard mutex, BEFORE the mutation it describes.
-  void wal_log(Shard& shard, std::uint8_t type, const tsdb::SeriesKey& key,
-               const double* value);
-  /// Stages one WAL frame into the shard writer's open group without
-  /// writing it; requires shard.wal engaged and the shard mutex held.  The
-  /// batched paths stage every frame of a (shard, batch) pair, then group
-  /// commit once — still before any staged mutation is applied.
-  void wal_stage(Shard& shard, std::uint8_t type, const tsdb::SeriesKey& key,
-                 const double* value);
+  /// Appends a one-op erase block to the shard's log.  Must run under the
+  /// shard mutex, BEFORE the erase it describes.
+  void wal_log_erase(Shard& shard, const tsdb::SeriesKey& key);
   /// Wakes the WalSyncer when this shard's backlog crossed the threshold.
   /// Called right after a commit, still under the shard mutex.
   void maybe_notify_syncer(Shard& shard);

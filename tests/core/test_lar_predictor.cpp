@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
+#include "persist/io.hpp"
 #include "predictors/last.hpp"
 #include "predictors/pool.hpp"
 #include "predictors/sliding_window_average.hpp"
@@ -210,6 +215,170 @@ TEST(LarPredictor, KdTreeBackendMatchesBruteForceSelections) {
     for (auto& w : window) w = rng.uniform(-2, 2);
     EXPECT_EQ(bsel->select(window), tsel->select(window));
   }
+}
+
+// Selector kind 3 was the removed cold-start tier's envelope.  A state that
+// carries it must fail as corrupt before any of its bytes are parsed.
+TEST(LarPredictor, SelectorKindThreeIsCorrupt) {
+  LarPredictor lar(predictors::make_paper_pool(5), paper_config());
+  lar.train(ar1_series(300, 12));
+  persist::io::Writer state;
+  lar.save_state(state);
+  // The kind byte follows the trained flag, the normalizer and the PCA.
+  persist::io::Writer prefix;
+  prefix.boolean(true);
+  lar.normalizer().save(prefix);
+  lar.pca().save(prefix);
+  std::vector<std::byte> bytes(state.bytes().begin(), state.bytes().end());
+  ASSERT_EQ(bytes.at(prefix.size()), std::byte{1});  // k-NN
+  bytes[prefix.size()] = std::byte{3};
+
+  LarPredictor restored(predictors::make_paper_pool(5), paper_config());
+  persist::io::Reader reader{bytes};
+  try {
+    restored.load_state(reader);
+    FAIL() << "kind 3 loaded";
+  } catch (const persist::CorruptData& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown serialized selector kind"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Saves `lar`, loads the bytes into a fresh predictor of the same pool and
+// config, then checks both continue the forecast sequence bit for bit.
+void expect_round_trip_continues(LarPredictor& lar, const LarConfig& config,
+                                 std::uint64_t seed) {
+  persist::io::Writer state;
+  lar.save_state(state);
+  LarPredictor restored(predictors::make_paper_pool(config.window), config);
+  persist::io::Reader reader{state.bytes()};
+  restored.load_state(reader);
+  EXPECT_TRUE(reader.exhausted());
+  ASSERT_TRUE(restored.trained());
+  EXPECT_EQ(restored.selector().name(), lar.selector().name());
+  EXPECT_EQ(restored.observed_count(), lar.observed_count());
+  EXPECT_EQ(restored.training_labels(), lar.training_labels());
+  for (const double x : ar1_series(40, seed)) {
+    const auto want = lar.predict_next();
+    const auto got = restored.predict_next();
+    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+              std::bit_cast<std::uint64_t>(want.value));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.uncertainty),
+              std::bit_cast<std::uint64_t>(want.uncertainty));
+    lar.observe(x);
+    restored.observe(x);
+  }
+  EXPECT_EQ(restored.online_windows_learned(), lar.online_windows_learned());
+}
+
+// Mid-stream state (pending forecast, residuals, online window) survives a
+// save/load of a k-NN predictor.
+TEST(LarPredictor, SaveLoadContinuesAKnnPredictor) {
+  const LarConfig config = paper_config();
+  LarPredictor lar(predictors::make_paper_pool(5), config);
+  lar.train(ar1_series(300, 31));
+  for (const double x : ar1_series(12, 32)) {
+    (void)lar.predict_next();
+    lar.observe(x);
+  }
+  (void)lar.predict_next();  // leave a forecast pending across the save
+  expect_round_trip_continues(lar, config, 33);
+}
+
+TEST(LarPredictor, SaveLoadContinuesACentroidPredictor) {
+  LarConfig config = paper_config();
+  config.classifier = ClassifierKind::NearestCentroid;
+  LarPredictor lar(predictors::make_paper_pool(5), config);
+  lar.train(ar1_series(300, 34));
+  ASSERT_EQ(lar.selector().name(), "LAR(centroid)");
+  for (const double x : ar1_series(6, 35)) {
+    (void)lar.predict_next();
+    lar.observe(x);
+  }
+  expect_round_trip_continues(lar, config, 36);
+}
+
+TEST(LarPredictor, SaveLoadContinuesASoftVoteKdTreePredictor) {
+  LarConfig config = paper_config();
+  config.soft_vote = true;
+  config.knn_backend = ml::KnnBackend::KdTree;
+  LarPredictor lar(predictors::make_paper_pool(5), config);
+  lar.train(ar1_series(300, 43));
+  for (const double x : ar1_series(8, 44)) {
+    (void)lar.predict_next();
+    lar.observe(x);
+  }
+  expect_round_trip_continues(lar, config, 45);
+}
+
+TEST(LarPredictor, SaveLoadContinuesAPcaSpacePredictor) {
+  LarConfig config = paper_config();
+  config.predict_in_pca_space = true;
+  LarPredictor lar(predictors::make_paper_pool(5), config);
+  lar.train(ar1_series(300, 46));
+  expect_round_trip_continues(lar, config, 47);
+}
+
+// Online learning grows the selector's index and per-member label trackers;
+// both travel in the state.
+TEST(LarPredictor, SaveLoadContinuesAnOnlineLearningPredictor) {
+  LarConfig config = paper_config();
+  config.online_learning = true;
+  LarPredictor lar(predictors::make_paper_pool(5), config);
+  lar.train(ar1_series(200, 37));
+  for (const double x : ar1_series(20, 38)) {
+    (void)lar.predict_next();
+    lar.observe(x);
+  }
+  ASSERT_GT(lar.online_windows_learned(), 0u);
+  expect_round_trip_continues(lar, config, 39);
+}
+
+TEST(LarPredictor, UntrainedStateLoadsAsUntrained) {
+  LarPredictor untrained(predictors::make_paper_pool(5), paper_config());
+  persist::io::Writer state;
+  untrained.save_state(state);
+  // Loading an untrained state over a trained predictor drops its model.
+  LarPredictor lar(predictors::make_paper_pool(5), paper_config());
+  lar.train(ar1_series(200, 40));
+  persist::io::Reader reader{state.bytes()};
+  lar.load_state(reader);
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_FALSE(lar.trained());
+  EXPECT_THROW((void)lar.predict_next(), StateError);
+}
+
+// Only kinds 1 (k-NN) and 2 (centroid) are selector envelopes.
+TEST(LarPredictor, OtherUnknownSelectorKindsAreCorrupt) {
+  LarPredictor lar(predictors::make_paper_pool(5), paper_config());
+  lar.train(ar1_series(300, 41));
+  persist::io::Writer state;
+  lar.save_state(state);
+  persist::io::Writer prefix;
+  prefix.boolean(true);
+  lar.normalizer().save(prefix);
+  lar.pca().save(prefix);
+  for (const std::uint8_t kind : {0, 4, 255}) {
+    SCOPED_TRACE("kind " + std::to_string(kind));
+    std::vector<std::byte> bytes(state.bytes().begin(), state.bytes().end());
+    bytes.at(prefix.size()) = static_cast<std::byte>(kind);
+    LarPredictor restored(predictors::make_paper_pool(5), paper_config());
+    persist::io::Reader reader{bytes};
+    EXPECT_THROW(restored.load_state(reader), persist::CorruptData);
+  }
+}
+
+TEST(LarPredictor, LoadStateRejectsADifferentPoolSize) {
+  LarPredictor lar(predictors::make_paper_pool(5), paper_config());
+  lar.train(ar1_series(300, 42));
+  persist::io::Writer state;
+  lar.save_state(state);
+  LarPredictor bigger(predictors::make_extended_pool(5), paper_config());
+  ASSERT_NE(bigger.pool().size(), lar.pool().size());
+  persist::io::Reader reader{state.bytes()};
+  EXPECT_THROW(bigger.load_state(reader), persist::CorruptData);
 }
 
 TEST(LabelBestPredictors, MatchesManualComputation) {

@@ -36,6 +36,7 @@
 #include "replication/replica.hpp"
 #include "replication/server.hpp"
 #include "serve/prediction_engine.hpp"
+#include "serve/wal_codec.hpp"
 #include "util/error.hpp"
 
 namespace larp::replication {
@@ -417,29 +418,89 @@ TEST_F(ReplicationTest, BootstrapConvergeBitIdenticalForecasts) {
   EXPECT_TRUE(follower->stats().replication_fresh);
 }
 
-// WAL payloads are opaque to replication: the default leader above streams
-// compressed block frames (every test here relays them), and a leader with
-// compression off streams legacy per-op frames over the same wire — the
-// follower applies either without knowing which it got.
-TEST_F(ReplicationTest, RawFrameLeaderStreamsTransparently) {
-  repl_.reset();
-  leader_.reset();
-  fs::remove_all(leader_dir_);
-  serve::EngineConfig config = tiny_config();
-  config.durability.data_dir = leader_dir_;
-  config.durability.compress_payloads = false;
-  leader_ = std::make_unique<serve::PredictionEngine>(
-      predictors::make_paper_pool(5), config);
-  start_repl_server();
+// WAL payloads are opaque to replication: every leader above streams
+// compressed block frames, and a leader restored from a v1 or v3 directory
+// still holds per-op frames in its log.  A follower bootstrapped from that
+// directory's snapshot alone must catch up over them, as perfbench's
+// `recover` workload does, and then forecast bit-identically.
+void expect_follower_catches_up_over_per_op_frames(const char* fixture_name) {
+  const fs::path fixture = fs::path(LARP_PERSIST_TESTDATA_DIR) / fixture_name;
+  ASSERT_TRUE(fs::exists(fixture)) << "missing committed fixture " << fixture;
+  const fs::path leader_dir = test_dir("leader");
+  const fs::path follower_dir = test_dir("follower");
+  fs::remove_all(leader_dir);
+  fs::remove_all(follower_dir);
+  fs::copy(fixture, leader_dir, fs::copy_options::recursive);
+  fs::create_directories(follower_dir);
+  for (const auto& entry : fs::directory_iterator(fixture)) {
+    if (entry.path().extension() == ".snap") {
+      fs::copy_file(entry.path(), follower_dir / entry.path().filename());
+    }
+  }
+  {
+    serve::EngineConfig runtime;
+    runtime.threads = 1;
+    auto leader = serve::PredictionEngine::restore(
+        predictors::make_paper_pool(5), leader_dir, runtime);
+    runtime.role = serve::EngineRole::kFollower;
+    auto follower = serve::PredictionEngine::restore(
+        predictors::make_paper_pool(5), follower_dir, runtime);
 
-  feed(16);
-  replica_ = make_replica();
-  replica_->start();
-  serve::PredictionEngine* follower = replica_->wait_until_ready(10s);
-  ASSERT_NE(follower, nullptr);
-  feed(4);
-  expect_identical_forecasts(*follower);
-  EXPECT_GT(follower->stats().replicated_frames, 0u);
+    std::size_t per_op_frames = 0;
+    std::vector<TailedFrame> tailed;
+    std::vector<serve::ReplicatedFrame> frames;
+    const auto start = follower->wal_positions();
+    for (std::uint32_t shard = 0; shard < start.size(); ++shard) {
+      WalTailer tailer(leader_dir, shard, start[shard]);
+      for (;;) {
+        const TailStatus status = tailer.poll(tailed, 1u << 20);
+        if (status != TailStatus::kFrames) {
+          ASSERT_EQ(status, TailStatus::kUpToDate) << "shard " << shard;
+          break;
+        }
+        frames.clear();
+        for (const auto& f : tailed) {
+          frames.push_back({f.seq, f.payload});
+          if (!serve::WalPayloadCodec::is_block(f.payload)) ++per_op_frames;
+        }
+        follower->replicate_frames(shard, frames);
+      }
+    }
+    // The fixture's WAL tail: 5 rounds of predict + observe over 6 series.
+    EXPECT_EQ(per_op_frames, 5u * 2u * 6u);
+    EXPECT_TRUE(covers(follower->wal_positions(), leader->wal_positions()));
+
+    std::vector<tsdb::SeriesKey> keys;
+    for (std::size_t s = 0; s < 6; ++s) {
+      keys.push_back({"host" + std::to_string(s / 2),
+                      "dev" + std::to_string(s % 2), "cpu"});
+    }
+    std::vector<serve::Prediction> from_follower;
+    follower->predict_into(keys, from_follower);
+    const auto from_leader = leader->predict(keys);
+    for (std::size_t s = 0; s < keys.size(); ++s) {
+      SCOPED_TRACE("series " + std::to_string(s));
+      EXPECT_TRUE(from_leader[s].ready);
+      EXPECT_EQ(from_leader[s].label, from_follower[s].label);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_leader[s].value),
+                std::bit_cast<std::uint64_t>(from_follower[s].value));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_leader[s].uncertainty),
+                std::bit_cast<std::uint64_t>(from_follower[s].uncertainty));
+    }
+  }
+  fs::remove_all(leader_dir);
+  fs::remove_all(follower_dir);
+}
+
+TEST(FollowerCatchUp, PerOpFramesFromGoldenV3LeaderApplyBitIdentically) {
+  expect_follower_catches_up_over_per_op_frames("engine-v3");
+}
+
+// The v1 snapshot keeps each shard's watermark in its section head rather
+// than in a table; the follower still starts exactly where the leader's
+// per-op tail begins.
+TEST(FollowerCatchUp, PerOpFramesFromGoldenV1LeaderApplyBitIdentically) {
+  expect_follower_catches_up_over_per_op_frames("engine-v1");
 }
 
 TEST_F(ReplicationTest, FollowerKilledMidStreamResumesWithoutRebootstrap) {

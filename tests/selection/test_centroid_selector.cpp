@@ -44,6 +44,60 @@ TEST(CentroidSelector, SelectsByWindowShape) {
   EXPECT_EQ(sel.clone()->select(std::vector<double>{0, 1, 2, 3}), 1u);
 }
 
+CentroidSelector rising_vs_flat_centroid() {
+  linalg::Matrix windows(40, 4);
+  std::vector<std::size_t> labels(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const bool rising = i % 2 == 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      windows(i, j) = rising ? static_cast<double>(j) + 0.01 * i
+                             : 1.5 + 0.01 * i;
+    }
+    labels[i] = rising ? 1 : 0;
+  }
+  ml::Pca pca;
+  pca.fit(windows, ml::PcaPolicy{2, 0.9});
+  ml::NearestCentroidClassifier classifier;
+  classifier.fit(pca.transform(windows), labels);
+  return CentroidSelector(std::move(pca), std::move(classifier));
+}
+
+const std::vector<double> kRising{0, 1, 2, 3};
+const std::vector<double> kFalling{3, 2, 1, 0};
+
+TEST(CentroidSelector, SoftSelectionIsOneHotOfTheNearestCentroid) {
+  CentroidSelector sel = rising_vs_flat_centroid();
+  for (const auto& window : {kRising, kFalling}) {
+    std::vector<double> weights;
+    sel.select_weights_into(window, 3, weights);
+    std::vector<double> one_hot(3, 0.0);
+    one_hot[sel.select(window)] = 1.0;
+    EXPECT_EQ(weights, one_hot);
+  }
+}
+
+TEST(CentroidSelector, LearnOpensANewClass) {
+  CentroidSelector sel = rising_vs_flat_centroid();
+  EXPECT_TRUE(sel.supports_online_learning());
+  ASSERT_EQ(sel.classifier().classes(), 2u);
+  // The new class's centroid is the window itself, at distance zero.
+  sel.learn(kFalling, 2);
+  EXPECT_EQ(sel.classifier().classes(), 3u);
+  EXPECT_EQ(sel.select(kFalling), 2u);
+  EXPECT_EQ(sel.select(kRising), 1u);
+}
+
+TEST(CentroidSelector, CloneLearnsIndependentlyOfTheOriginal) {
+  CentroidSelector sel = rising_vs_flat_centroid();
+  const std::size_t original_pick = sel.select(kFalling);
+  ASSERT_NE(original_pick, 2u);
+  auto copy = sel.clone();
+  copy->learn(kFalling, 2);
+  EXPECT_EQ(copy->select(kFalling), 2u);
+  EXPECT_EQ(sel.select(kFalling), original_pick);
+  EXPECT_EQ(sel.classifier().classes(), 2u);
+}
+
 std::vector<double> mixed_series(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> xs;

@@ -2,6 +2,7 @@
 // k-NN).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "ml/framing.hpp"
@@ -202,6 +203,136 @@ TEST(KnnSelector, ClassifiesWindowsThroughPca) {
 TEST(Selector, DefaultHindsightAvailableToAll) {
   StaticSelector sel(0);
   EXPECT_EQ(sel.select_hindsight(std::vector<double>{3.0, 1.0}, 1.2), 1u);
+}
+
+TEST(Selector, SelectWeightsMatchesSelectWeightsInto) {
+  StaticSelector sel(1);
+  std::vector<double> into = {7.0};  // stale caller state is replaced
+  sel.select_weights_into(kWindow, 4, into);
+  EXPECT_EQ(sel.select_weights(kWindow, 4), into);
+  EXPECT_EQ(into, (std::vector<double>{0.0, 1.0, 0.0, 0.0}));
+}
+
+TEST(StaticSelector, NameFallsBackToTheLabel) {
+  EXPECT_EQ(StaticSelector(1).name(), "STATIC(1)");
+  EXPECT_EQ(StaticSelector(0, "LAST").clone()->name(), "STATIC(LAST)");
+}
+
+TEST(StaticSelector, HasNothingToLearn) {
+  StaticSelector sel(0);
+  EXPECT_FALSE(sel.supports_online_learning());
+  sel.learn(kWindow, 2);
+  sel.reset();
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(sel.label(), 0u);
+}
+
+TEST(OracleSelector, RecordSkipsNonFiniteForecasts) {
+  OracleSelector oracle;
+  oracle.record(std::vector<double>{std::nan(""), 3.0, 1.5}, 1.0);
+  EXPECT_EQ(oracle.select(kWindow), 2u);
+}
+
+TEST(OracleSelector, CloneCarriesThePersistedLabel) {
+  OracleSelector oracle;
+  oracle.record(std::vector<double>{9.0, 1.0}, 1.0);
+  const auto copy = oracle.clone();
+  oracle.reset();
+  EXPECT_EQ(copy->select(kWindow), 1u);
+  EXPECT_EQ(oracle.select(kWindow), 0u);
+  EXPECT_TRUE(copy->needs_hindsight());
+}
+
+TEST(EwmaMse, NameShowsTheDecay) {
+  EXPECT_EQ(EwmaMseSelector(2, 0.5).name(), "EWMA-MSE(0.500000)");
+}
+
+TEST(WindowedCumMse, ValidatesConstruction) {
+  EXPECT_THROW(WindowedCumMseSelector(0, 2), InvalidArgument);
+  WindowedCumMseSelector sel(2, 2);
+  EXPECT_THROW(sel.record(std::vector<double>{1.0, 2.0, 3.0}, 0.0),
+               InvalidArgument);
+}
+
+TEST(WindowedCumMse, ResetAndCloneCarryState) {
+  WindowedCumMseSelector sel(2, 2);
+  sel.record(std::vector<double>{9.0, 0.0}, 0.0);
+  const auto copy = sel.clone();
+  sel.reset();
+  EXPECT_EQ(copy->select(kWindow), 1u);
+  EXPECT_EQ(sel.select(kWindow), 0u);
+  EXPECT_EQ(copy->name(), "W-Cum.MSE(2)");
+}
+
+// Rising windows labeled 1 and flat windows labeled 0 (the scenario of
+// ClassifiesWindowsThroughPca), as a k = 3 selector.
+KnnSelector rising_vs_flat_knn() {
+  linalg::Matrix windows(40, 4);
+  std::vector<std::size_t> labels(40);
+  for (std::size_t i = 0; i < 40; ++i) {
+    const bool rising = i % 2 == 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      windows(i, j) = rising ? static_cast<double>(j) +
+                                   0.01 * static_cast<double>(i)
+                             : 1.5 + 0.01 * static_cast<double>(i);
+    }
+    labels[i] = rising ? 1 : 0;
+  }
+  ml::Pca pca;
+  pca.fit(windows, ml::PcaPolicy{2, 0.9});
+  ml::KnnClassifier knn(3);
+  knn.fit(pca.transform(windows), labels);
+  return KnnSelector(std::move(pca), std::move(knn));
+}
+
+const std::vector<double> kRising{0, 1, 2, 3};
+const std::vector<double> kFalling{3, 2, 1, 0};
+
+TEST(KnnSelector, VoteSharesSumToOneAndPeakAtTheSelection) {
+  KnnSelector sel = rising_vs_flat_knn();
+  for (const auto& window : {kRising, kFalling}) {
+    std::vector<double> weights;
+    sel.select_weights_into(window, 3, weights);
+    ASSERT_EQ(weights.size(), 3u);
+    double total = 0.0;
+    for (double w : weights) {
+      EXPECT_GE(w, 0.0);
+      total += w;
+    }
+    EXPECT_DOUBLE_EQ(total, 1.0);
+    EXPECT_DOUBLE_EQ(weights[2], 0.0);  // no training window carries label 2
+    const std::size_t pick = sel.select(window);
+    for (double w : weights) EXPECT_LE(w, weights[pick]);
+    EXPECT_EQ(sel.select_weights(window, 3), weights);
+  }
+}
+
+TEST(KnnSelector, VoteSharesRejectLabelsOutsideThePool) {
+  KnnSelector sel = rising_vs_flat_knn();
+  std::vector<double> weights;
+  EXPECT_THROW(sel.select_weights_into(kRising, 1, weights), InvalidArgument);
+}
+
+TEST(KnnSelector, LearnedWindowsJoinTheVote) {
+  KnnSelector sel = rising_vs_flat_knn();
+  EXPECT_TRUE(sel.supports_online_learning());
+  const std::size_t before = sel.classifier().size();
+  // k copies of the window sit at distance zero and outvote everything.
+  for (int i = 0; i < 3; ++i) sel.learn(kFalling, 2);
+  EXPECT_EQ(sel.classifier().size(), before + 3);
+  EXPECT_EQ(sel.select(kFalling), 2u);
+  EXPECT_EQ(sel.select(kRising), 1u);
+}
+
+TEST(KnnSelector, CloneLearnsIndependentlyOfTheOriginal) {
+  KnnSelector sel = rising_vs_flat_knn();
+  const std::size_t original_pick = sel.select(kFalling);
+  ASSERT_NE(original_pick, 2u);
+  auto copy = sel.clone();
+  for (int i = 0; i < 3; ++i) copy->learn(kFalling, 2);
+  EXPECT_EQ(copy->select(kFalling), 2u);
+  EXPECT_EQ(sel.select(kFalling), original_pick);
+  EXPECT_EQ(sel.classifier().size(), 40u);
 }
 
 }  // namespace

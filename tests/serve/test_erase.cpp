@@ -46,6 +46,34 @@ TEST(PredictionEngineErase, DropsStateAndCountsOnce) {
   EXPECT_EQ(engine.stats().erases, 1u);
 }
 
+// The series and trained-series gauges follow every train and erase,
+// whether the erased series had trained or not.
+TEST(PredictionEngineErase, GaugesFollowTrainsAndErases) {
+  PredictionEngine engine(predictors::make_paper_pool(5), small_config());
+  Rng rng(7);
+  for (int i = 0; i < 45; ++i) {
+    engine.observe(key_of(0), rng.normal(10.0, 2.0));
+    engine.observe(key_of(1), rng.normal(10.0, 2.0));
+  }
+  for (int i = 0; i < 10; ++i) engine.observe(key_of(2), rng.normal(10.0, 2.0));
+  auto stats = engine.stats();
+  EXPECT_EQ(stats.series, 3u);
+  EXPECT_EQ(stats.trained_series, 2u);
+
+  ASSERT_TRUE(engine.erase(key_of(0)));  // trained
+  ASSERT_TRUE(engine.erase(key_of(2)));  // still collecting its window
+  stats = engine.stats();
+  EXPECT_EQ(stats.series, 1u);
+  EXPECT_EQ(stats.trained_series, 1u);
+  EXPECT_EQ(stats.erases, 2u);
+
+  for (int i = 0; i < 40; ++i) engine.observe(key_of(0), rng.normal(10.0, 2.0));
+  stats = engine.stats();
+  EXPECT_EQ(stats.series, 2u);
+  EXPECT_EQ(stats.trained_series, 2u);
+  EXPECT_EQ(stats.trains, 3u);
+}
+
 // After an erase the key is a brand-new series: it must re-accumulate a full
 // training window and train from scratch.
 TEST(PredictionEngineErase, ErasedSeriesRetrainsFromScratch) {
