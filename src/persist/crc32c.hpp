@@ -8,8 +8,10 @@
 // because the incremental form below lets a frame header's checksum cover a
 // sequence number plus a payload without concatenating them first.
 //
-// Implementation: slicing-by-8 table lookup, ~1 byte/cycle without any ISA
-// dependency, so checksumming never dominates the fsync-bound append path.
+// Implementation: the SSE4.2 crc32 instruction, 8 bytes per step, where the
+// CPU has it (detected once at first use); otherwise slicing-by-8 table
+// lookup, ~1 byte/cycle without any ISA dependency.  The portable path is
+// also the reference the tests hold the hardware path to.
 #pragma once
 
 #include <cstddef>
@@ -39,5 +41,17 @@ namespace larp::persist {
   const std::uint32_t rot = masked - 0xa282ead8u;
   return (rot >> 17) | (rot << 15);
 }
+
+namespace testing {
+
+/// Pins crc32c_update to the portable slicing-by-8 path (true), or returns
+/// it to CPU detection (false).  Returns whether the portable path was in
+/// use before.  Process-global: set from one thread, restore when done.
+bool force_portable_crc32c(bool portable) noexcept;
+
+/// Whether crc32c_update currently runs the SSE4.2 path.
+[[nodiscard]] bool crc32c_uses_sse42() noexcept;
+
+}  // namespace testing
 
 }  // namespace larp::persist

@@ -1,6 +1,7 @@
 #include "persist/file.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -178,8 +179,72 @@ std::vector<std::byte> read_file(const std::filesystem::path& path) {
   return contents;
 }
 
+MappedFile::MappedFile(const std::filesystem::path& path) : path_(path) {
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) raise_errno("MappedFile: cannot open", path);
+  struct stat st{};
+  if (::fstat(fd_, &st) != 0) {
+    const int saved = errno;
+    release();
+    errno = saved;
+    raise_errno("MappedFile: fstat failed on", path);
+  }
+  size_ = static_cast<std::size_t>(st.st_size);
+}
+
+MappedFile::~MappedFile() { release(); }
+
+MappedFile::MappedFile(MappedFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      path_(std::move(other.path_)) {}
+
+MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
+  if (this != &other) {
+    release();
+    fd_ = std::exchange(other.fd_, -1);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    path_ = std::move(other.path_);
+  }
+  return *this;
+}
+
+std::span<const std::byte> MappedFile::map() {
+  if (data_ == nullptr && size_ > 0) {
+    // MAP_POPULATE maps every page up front: a checksum pass over the file
+    // then takes no page fault per page.
+    void* data = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                        fd_, 0);
+    if (data == MAP_FAILED) raise_errno("MappedFile: mmap failed on", path_);
+    data_ = data;
+  }
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  return {static_cast<const std::byte*>(data_), data_ ? size_ : 0};
+}
+
+void MappedFile::release() noexcept {
+  if (data_ != nullptr) {
+    ::munmap(data_, size_);
+    data_ = nullptr;
+  }
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+}
+
 void publish_file(const std::filesystem::path& path,
                   std::span<const std::byte> contents) {
+  publish_file_pieces(path, std::span(&contents, 1));
+}
+
+void publish_file_pieces(const std::filesystem::path& path,
+                         std::span<const std::span<const std::byte>> pieces) {
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
     AppendFile file;
@@ -188,7 +253,7 @@ void publish_file(const std::filesystem::path& path,
     std::error_code ec;
     std::filesystem::remove(tmp, ec);
     file.open(tmp);
-    file.append(contents);
+    for (const auto piece : pieces) file.append(piece);
     file.sync();
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {

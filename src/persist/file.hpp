@@ -120,11 +120,49 @@ void close_handle(int fd) noexcept;
 /// Reads a whole file into memory; throws IoError when unreadable.
 [[nodiscard]] std::vector<std::byte> read_file(const std::filesystem::path& path);
 
+/// A whole file mapped read-only, for readers of large files that are never
+/// modified in place (published snapshots are only ever unlinked).  Open it,
+/// check size(), then map(): the pages are mapped prefaulted and shared with
+/// the page cache, so nothing is copied.  An unlink leaves the mapping
+/// valid; a truncation by another process while mapped would make reads past
+/// the new end fault (SIGBUS).
+class MappedFile {
+ public:
+  MappedFile() = default;
+  /// Opens `path` read-only and reads its size; throws IoError on failure.
+  explicit MappedFile(const std::filesystem::path& path);
+  ~MappedFile();
+
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+  MappedFile(MappedFile&& other) noexcept;
+  MappedFile& operator=(MappedFile&& other) noexcept;
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  /// Maps the whole file and closes the descriptor; returns the bytes, which
+  /// stay valid until this object is destroyed or assigned.  Throws IoError.
+  std::span<const std::byte> map();
+
+ private:
+  void release() noexcept;
+
+  int fd_ = -1;
+  void* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::filesystem::path path_;
+};
+
 /// Atomically publishes `contents` at `path`: writes `path` + ".tmp", fsyncs
 /// it, renames over `path`, and fsyncs the parent directory.  A crash at any
 /// point leaves either no file, a stale ".tmp" orphan, or the complete file.
 void publish_file(const std::filesystem::path& path,
                   std::span<const std::byte> contents);
+
+/// publish_file() of the concatenation of `pieces`, appended in order, so a
+/// caller that builds a file in parts need not join them into one buffer.
+void publish_file_pieces(const std::filesystem::path& path,
+                         std::span<const std::span<const std::byte>> pieces);
 
 /// fsyncs a directory so previously renamed/created entries are durable.
 void sync_directory(const std::filesystem::path& dir);

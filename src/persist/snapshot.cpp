@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "persist/crc32c.hpp"
-#include "persist/file.hpp"
 #include "util/log.hpp"
 
 namespace larp::persist {
@@ -36,18 +35,32 @@ std::filesystem::path snapshot_path(const std::filesystem::path& dir,
 std::filesystem::path publish_snapshot(const std::filesystem::path& dir,
                                        std::uint64_t epoch,
                                        std::span<const std::byte> payload) {
-  ensure_directory(dir);
-  io::Writer w;
-  w.u64(kMagic);
-  w.u32(kSnapshotFormatVersion);
-  w.u64(epoch);
-  w.u64(payload.size());
-  w.bytes(payload);
-  const std::uint32_t crc = crc32c(w.bytes());
-  w.u32(crc32c_mask(crc));
+  return publish_snapshot_pieces(dir, epoch, std::span(&payload, 1));
+}
 
+std::filesystem::path publish_snapshot_pieces(
+    const std::filesystem::path& dir, std::uint64_t epoch,
+    std::span<const std::span<const std::byte>> pieces) {
+  ensure_directory(dir);
+  std::uint64_t payload_size = 0;
+  for (const auto piece : pieces) payload_size += piece.size();
+  io::Writer header;
+  header.u64(kMagic);
+  header.u32(kSnapshotFormatVersion);
+  header.u64(epoch);
+  header.u64(payload_size);
+  std::uint32_t crc = crc32c_update(crc32c_init(), header.bytes());
+  for (const auto piece : pieces) crc = crc32c_update(crc, piece);
+  io::Writer footer;
+  footer.u32(crc32c_mask(crc32c_finish(crc)));
+
+  std::vector<std::span<const std::byte>> parts;
+  parts.reserve(pieces.size() + 2);
+  parts.push_back(header.bytes());
+  parts.insert(parts.end(), pieces.begin(), pieces.end());
+  parts.push_back(footer.bytes());
   const auto path = snapshot_path(dir, epoch);
-  publish_file(path, w.bytes());
+  publish_file_pieces(path, parts);
   return path;
 }
 
@@ -84,13 +97,14 @@ std::vector<SnapshotInfo> list_snapshots(const std::filesystem::path& dir) {
 }
 
 LoadedSnapshot load_snapshot(const std::filesystem::path& path) {
-  const auto contents = read_file(path);
-  if (contents.size() < kHeaderBytes + kFooterBytes) {
+  LoadedSnapshot loaded;
+  loaded.file = MappedFile(path);
+  if (loaded.file.size() < kHeaderBytes + kFooterBytes) {
     throw CorruptData("snapshot: file shorter than header + checksum");
   }
-  io::Reader header{std::span(contents).first(kHeaderBytes)};
+  const auto contents = loaded.file.map();
+  io::Reader header{contents.first(kHeaderBytes)};
   if (header.u64() != kMagic) throw CorruptData("snapshot: bad magic");
-  LoadedSnapshot loaded;
   loaded.version = header.u32();
   if (loaded.version == 0 || loaded.version > kSnapshotFormatVersion) {
     throw CorruptData("snapshot: unsupported format version");
@@ -101,12 +115,12 @@ LoadedSnapshot load_snapshot(const std::filesystem::path& path) {
     throw CorruptData("snapshot: payload size does not match file size");
   }
 
-  const auto body = std::span(contents).first(contents.size() - kFooterBytes);
-  io::Reader footer{std::span(contents).last(kFooterBytes)};
+  const auto body = contents.first(contents.size() - kFooterBytes);
+  io::Reader footer{contents.last(kFooterBytes)};
   if (crc32c_unmask(footer.u32()) != crc32c(body)) {
     throw CorruptData("snapshot: checksum mismatch");
   }
-  loaded.payload.assign(body.begin() + kHeaderBytes, body.end());
+  loaded.payload = body.subspan(kHeaderBytes);
   return loaded;
 }
 

@@ -16,6 +16,11 @@
 // version, size, and checksum all hold, so a bit flip anywhere in the file
 // rejects it and recovery falls back to the previous retained snapshot.
 //
+// Neither side copies the payload: the writer appends the caller's pieces
+// and checksums them incrementally, and the reader maps the file read-only
+// and validates the mapping.  A published file is never modified, only
+// unlinked, so a loaded snapshot stays valid while it is held.
+//
 // Naming: snapshot-<epoch, 20 digits>.snap in the snapshot directory, so a
 // lexicographic directory sort is also an epoch sort.
 #pragma once
@@ -26,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "persist/file.hpp"
 #include "persist/io.hpp"
 
 namespace larp::persist {
@@ -38,11 +44,13 @@ struct SnapshotInfo {
   std::uint64_t epoch = 0;
 };
 
-/// A validated, fully loaded snapshot.
+/// A validated snapshot.  It owns the read-only mapping of its file, and
+/// `payload` views that mapping: it is valid while this object lives.
 struct LoadedSnapshot {
   std::uint64_t epoch = 0;
   std::uint32_t version = 0;
-  std::vector<std::byte> payload;
+  std::span<const std::byte> payload;
+  MappedFile file;
 };
 
 /// Atomically publishes `payload` as snapshot epoch `epoch` in `dir`
@@ -51,12 +59,18 @@ std::filesystem::path publish_snapshot(const std::filesystem::path& dir,
                                        std::uint64_t epoch,
                                        std::span<const std::byte> payload);
 
+/// publish_snapshot() of a payload given as consecutive pieces; the file
+/// holds their concatenation, byte for byte.
+std::filesystem::path publish_snapshot_pieces(
+    const std::filesystem::path& dir, std::uint64_t epoch,
+    std::span<const std::span<const std::byte>> pieces);
+
 /// All snapshot files in `dir`, ascending epoch.  Temp files and foreign
 /// names are ignored; missing directory yields an empty list.
 [[nodiscard]] std::vector<SnapshotInfo> list_snapshots(
     const std::filesystem::path& dir);
 
-/// Loads and validates one snapshot file; throws CorruptData when the magic,
+/// Maps and validates one snapshot file; throws CorruptData when the magic,
 /// version, size, or checksum fails, IoError when unreadable.
 [[nodiscard]] LoadedSnapshot load_snapshot(const std::filesystem::path& path);
 

@@ -133,15 +133,19 @@ WalReplayReport replay_wal(const std::filesystem::path& dir, std::uint32_t shard
       contents = read_file(segments[i].path);
       scan = scan_segment(contents, shard, [&](std::uint64_t seq,
                                                std::span<const std::byte> payload) {
+        // A frame the callback rejects is the first one not applied: the
+        // frames before it stay below next_seq, so repair keeps them.
+        report.next_seq = seq;
         if (seq >= from_seq) {
           fn(WalFrame{seq, payload});
           ++report.frames_delivered;
         } else {
           ++report.frames_skipped;
         }
+        report.next_seq = seq + 1;
       });
     } catch (const Error& e) {
-      LARP_LOG_WARN("persist") << "wal replay stopped at unreadable segment "
+      LARP_LOG_WARN("persist") << "wal replay stopped in segment "
                                << segments[i].path.string() << ": " << e.what();
       report.truncated_tail = true;
       return report;

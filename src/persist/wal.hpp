@@ -244,13 +244,17 @@ struct WalFrame {
 struct WalReplayReport {
   std::uint64_t frames_delivered = 0;   // callbacks invoked (seq >= from_seq)
   std::uint64_t frames_skipped = 0;     // valid frames below from_seq
-  std::uint64_t next_seq = 0;           // sequence after the last valid frame
+  std::uint64_t next_seq = 0;           // first frame not applied: after the
+                                        // last valid frame, or the frame `fn`
+                                        // threw on
   bool truncated_tail = false;          // stopped at a torn/corrupt frame
 };
 
 /// Replays shard `shard`'s log from `dir`, invoking `fn` for every valid
 /// frame with seq >= from_seq, in sequence order.  Stops at the first
-/// invalid frame (torn tail or corruption) — the checksum-valid prefix rule.
+/// invalid frame (torn tail or corruption) — the checksum-valid prefix rule —
+/// or at the first frame `fn` throws an Error on, which is reported
+/// like corruption: truncated_tail, with next_seq at that frame.
 WalReplayReport replay_wal(const std::filesystem::path& dir, std::uint32_t shard,
                            std::uint64_t from_seq,
                            const std::function<void(const WalFrame&)>& fn);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 
 #include "persist/file.hpp"
 #include "persist/snapshot.hpp"
@@ -144,6 +145,59 @@ void load_engine_config(persist::io::Reader& r, EngineConfig& c,
           "which was removed (DESIGN.md §10)");
     }
   }
+}
+
+// Reads the payload prefix: the version, the identity config, then (v2+) the
+// watermark table and (v4) the byte-accounting table, one row per shard
+// each.  The accounting table's encoded column holds each shard section's
+// exact length — restore() cuts the sections apart by it — so its sum must
+// equal the bytes left after the tables.
+PredictionEngine::SnapshotDescription read_payload_prefix(
+    persist::io::Reader& r, EngineConfig& config) {
+  PredictionEngine::SnapshotDescription d;
+  d.payload_version = r.u32();
+  if (d.payload_version == 0 || d.payload_version > kEnginePayloadVersion) {
+    throw persist::CorruptData("engine snapshot: unsupported payload version " +
+                               std::to_string(d.payload_version));
+  }
+  load_engine_config(r, config, d.payload_version);
+  d.shards = config.shards;
+  if (d.payload_version >= 2) {
+    const auto table_shards = r.length(r.u64(), sizeof(std::uint64_t));
+    if (table_shards != d.shards) {
+      throw persist::CorruptData(
+          "engine snapshot: watermark table size disagrees with the shard "
+          "count");
+    }
+    for (std::uint64_t s = 0; s < table_shards; ++s) {
+      d.watermarks.push_back(r.u64());
+    }
+  }
+  if (d.payload_version >= 4) {
+    const auto table_shards = r.length(r.u64(), 2 * sizeof(std::uint64_t));
+    if (table_shards != d.shards) {
+      throw persist::CorruptData(
+          "engine snapshot: accounting table size disagrees with the shard "
+          "count");
+    }
+    for (std::uint64_t s = 0; s < table_shards; ++s) {
+      d.raw_bytes.push_back(r.u64());
+      d.encoded_bytes.push_back(r.u64());
+    }
+    std::uint64_t sections = 0;
+    for (const std::uint64_t bytes : d.encoded_bytes) {
+      if (bytes > r.remaining() - sections) {
+        throw persist::CorruptData(
+            "engine snapshot: section lengths run past the payload");
+      }
+      sections += bytes;
+    }
+    if (sections != r.remaining()) {
+      throw persist::CorruptData(
+          "engine snapshot: section lengths do not cover the payload");
+    }
+  }
+  return d;
 }
 
 }  // namespace
@@ -288,6 +342,21 @@ void PredictionEngine::for_each_shard(std::size_t count, const KeyOf& key_of,
   pool_.parallel_for(0, active.size(), [&](std::size_t a) {
     fn(active[a], by_shard[active[a]]);
   });
+}
+
+template <typename Fn>
+void PredictionEngine::for_all_shards(const Fn& fn) {
+  std::vector<std::exception_ptr> errors(shards_.size());
+  pool_.parallel_for(0, shards_.size(), [&](std::size_t s) {
+    try {
+      fn(s);
+    } catch (...) {
+      errors[s] = std::current_exception();
+    }
+  });
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 void PredictionEngine::train_series(Shard& shard, const tsdb::SeriesKey& key,
@@ -830,52 +899,56 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
 }
 
 std::uint64_t PredictionEngine::snapshot(const std::filesystem::path& dir) {
-  // Incremental, not stop-the-world: each shard is serialized into the
-  // staging buffer under its OWN mutex, one at a time, so concurrent
-  // observe/predict traffic only ever waits for the single shard currently
-  // being copied.  Consistency holds per shard, not engine-wide: each
+  // Incremental, not stop-the-world: each shard is serialized into its own
+  // section buffer under its OWN mutex, the shards fanned out over the pool,
+  // so concurrent observe/predict traffic only ever waits for a shard that
+  // is being copied.  Consistency holds per shard, not engine-wide: each
   // section flushes its shard's WAL and records that shard's watermark (the
   // log must be durable up to the cut BEFORE the snapshot can claim it),
   // and restore() replays each shard's WAL from its own watermark — shard
   // state and replay cut always agree even though the sections were taken
   // at different instants.
-  persist::io::Writer body;
-  std::vector<std::uint64_t> watermarks(shards_.size(), 0);
-  std::vector<std::uint64_t> raw_bytes(shards_.size(), 0);
-  std::vector<std::uint64_t> encoded_bytes(shards_.size(), 0);
-  std::uint64_t max_pause_nanos = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
+  const std::size_t count = shards_.size();
+  std::vector<persist::io::Writer> sections(count);
+  std::vector<std::uint64_t> watermarks(count, 0);
+  std::vector<std::uint64_t> raw_bytes(count, 0);
+  std::vector<std::uint64_t> encoded_bytes(count, 0);
+  std::vector<std::uint64_t> pause_nanos(count, 0);
+  for_all_shards([&](std::size_t s) {
     Shard& shard = *shards_[s];
     const auto locked_at = Clock::now();
     std::lock_guard lock(shard.mutex);
     if (shard.wal) {
       watermarks[s] = shard.wal->flush();
     }
-    save_shard(body, shard, raw_bytes[s], encoded_bytes[s]);
-    max_pause_nanos = std::max(max_pause_nanos, nanos_since(locked_at));
-  }
+    save_shard(sections[s], shard, raw_bytes[s], encoded_bytes[s]);
+    pause_nanos[s] = nanos_since(locked_at);
+  });
 
-  // Assemble the published payload: the watermark table travels up front
-  // (restore must know every shard's replay cut before the sections), the
-  // v4 byte-accounting table follows it (what each section would have cost
-  // raw vs what it actually cost — read by `larp_cli inspect-snapshot` and
-  // the durability bench without deserializing the sections), the staged
-  // sections close the payload verbatim.
-  persist::io::Writer w;
-  w.u32(kEnginePayloadVersion);
-  save_engine_config(w, config_);
-  w.u64(shards_.size());
-  for (std::uint64_t watermark : watermarks) w.u64(watermark);
-  w.u64(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    w.u64(raw_bytes[s]);
-    w.u64(encoded_bytes[s]);
+  // The published payload is the prefix, then the sections in shard order.
+  // The watermark table travels up front (restore must know every shard's
+  // replay cut before the sections), and the v4 byte-accounting table
+  // follows it: what each section would have cost raw vs what it actually
+  // cost, the latter being the section's exact length, by which restore()
+  // cuts the sections apart.
+  persist::io::Writer prefix;
+  prefix.u32(kEnginePayloadVersion);
+  save_engine_config(prefix, config_);
+  prefix.u64(count);
+  for (std::uint64_t watermark : watermarks) prefix.u64(watermark);
+  prefix.u64(count);
+  for (std::size_t s = 0; s < count; ++s) {
+    prefix.u64(raw_bytes[s]);
+    prefix.u64(encoded_bytes[s]);
   }
-  w.bytes(body.bytes());
+  std::vector<std::span<const std::byte>> pieces;
+  pieces.reserve(count + 1);
+  pieces.push_back(prefix.bytes());
+  for (const auto& section : sections) pieces.push_back(section.bytes());
 
   const auto existing = persist::list_snapshots(dir);
   const std::uint64_t epoch = existing.empty() ? 1 : existing.back().epoch + 1;
-  persist::publish_snapshot(dir, epoch, w.bytes());
+  persist::publish_snapshot_pieces(dir, epoch, pieces);
   persist::retain_snapshots(
       dir, std::max<std::size_t>(1, config_.durability.keep_snapshots));
   if (dir == config_.durability.data_dir) {
@@ -893,7 +966,9 @@ std::uint64_t PredictionEngine::snapshot(const std::filesystem::path& dir) {
       }
     }
   }
-  snapshot_pause_nanos_.store(max_pause_nanos, std::memory_order_relaxed);
+  snapshot_pause_nanos_.store(
+      *std::max_element(pause_nanos.begin(), pause_nanos.end()),
+      std::memory_order_relaxed);
   snapshots_.fetch_add(1, std::memory_order_relaxed);
   return epoch;
 }
@@ -940,24 +1015,59 @@ void PredictionEngine::apply_op(Shard& shard, std::uint8_t type,
   }
 }
 
+void PredictionEngine::load_sections(persist::io::Reader& r,
+                                     const SnapshotDescription& layout,
+                                     std::vector<std::uint64_t>& watermarks) {
+  const std::uint32_t version = layout.payload_version;
+  if (version >= 4) {
+    // The accounting table gives every section's length (checked against
+    // the payload by read_payload_prefix), so the shards decode in
+    // parallel, each of its own bytes, and each must end exactly there.
+    std::vector<std::span<const std::byte>> sections;
+    sections.reserve(shards_.size());
+    for (const std::uint64_t bytes : layout.encoded_bytes) {
+      sections.push_back(r.bytes(static_cast<std::size_t>(bytes)));
+    }
+    for_all_shards([&](std::size_t s) {
+      persist::io::Reader section(sections[s]);
+      (void)load_shard(section, *shards_[s], version);
+      if (!section.exhausted()) {
+        throw persist::CorruptData("engine snapshot: shard " +
+                                   std::to_string(s) +
+                                   " section ends before its recorded length");
+      }
+    });
+    return;
+  }
+  // v1-v3 record no section lengths: walk the sections in order.
+  if (version == 1) {
+    // v1 compat: the engine-global traffic counters land on shard 0, so
+    // every stats() aggregate a v1 snapshot recorded is preserved; the
+    // per-shard watermarks come from the section heads below.
+    shards_[0]->observe_count.store(static_cast<std::size_t>(r.u64()),
+                                    std::memory_order_relaxed);
+    shards_[0]->predict_count.store(static_cast<std::size_t>(r.u64()),
+                                    std::memory_order_relaxed);
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const std::uint64_t v1_mark = load_shard(r, *shards_[s], version);
+    if (version == 1) watermarks[s] = v1_mark;
+  }
+}
+
 std::unique_ptr<PredictionEngine> PredictionEngine::restore(
     predictors::PredictorPool pool_prototype, const std::filesystem::path& dir,
     std::optional<EngineConfig> config_override) {
-  auto loaded = persist::load_newest_valid(dir);
+  const auto loaded = persist::load_newest_valid(dir);
 
   EngineConfig config = config_override.value_or(EngineConfig{});
   std::optional<persist::io::Reader> reader;
-  std::uint32_t payload_version = kEnginePayloadVersion;
+  SnapshotDescription layout;
   if (loaded) {
-    reader.emplace(std::span<const std::byte>(loaded->payload));
-    payload_version = reader->u32();
-    if (payload_version == 0 || payload_version > kEnginePayloadVersion) {
-      throw persist::CorruptData("engine snapshot: unsupported payload version " +
-                                 std::to_string(payload_version));
-    }
+    reader.emplace(loaded->payload);
     // Identity-defining fields come from the snapshot; the override only
     // contributes runtime knobs (threads + durability tuning, read below).
-    load_engine_config(*reader, config, payload_version);
+    layout = read_payload_prefix(*reader, config);
   }
   DurabilityConfig durability = config.durability;
   durability.data_dir = dir;
@@ -969,49 +1079,13 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
   auto engine = std::make_unique<PredictionEngine>(std::move(pool_prototype),
                                                    std::move(boot));
 
+  // Two phases, each fanned out over the shards.  Phase 1 decodes the
+  // snapshot sections and touches no file, so a corrupt section fails the
+  // restore before any WAL is repaired.
   std::vector<std::uint64_t> watermarks(engine->shards_.size(), 0);
   if (loaded) {
-    if (payload_version == 1) {
-      // v1 compat: the engine-global traffic counters land on shard 0, so
-      // every stats() aggregate a v1 snapshot recorded is preserved; the
-      // per-shard watermarks come from the section heads below.
-      engine->shards_[0]->observe_count.store(
-          static_cast<std::size_t>(reader->u64()), std::memory_order_relaxed);
-      engine->shards_[0]->predict_count.store(
-          static_cast<std::size_t>(reader->u64()), std::memory_order_relaxed);
-    } else {
-      const auto table_shards = static_cast<std::size_t>(
-          reader->length(reader->u64(), sizeof(std::uint64_t)));
-      if (table_shards != engine->shards_.size()) {
-        throw persist::CorruptData(
-            "engine snapshot: watermark table size disagrees with the shard "
-            "count");
-      }
-      for (std::size_t s = 0; s < table_shards; ++s) {
-        watermarks[s] = reader->u64();
-      }
-    }
-    if (payload_version >= 4) {
-      // The byte-accounting table is advisory (inspect/bench only) — restore
-      // just walks past it, but still validates the shape so a truncated
-      // payload fails loudly here instead of mid-section.
-      const auto table_shards = static_cast<std::size_t>(
-          reader->length(reader->u64(), 2 * sizeof(std::uint64_t)));
-      if (table_shards != engine->shards_.size()) {
-        throw persist::CorruptData(
-            "engine snapshot: accounting table size disagrees with the shard "
-            "count");
-      }
-      for (std::size_t s = 0; s < table_shards; ++s) {
-        (void)reader->u64();  // raw bytes
-        (void)reader->u64();  // encoded bytes
-      }
-    }
-    for (std::size_t s = 0; s < engine->shards_.size(); ++s) {
-      const std::uint64_t v1_mark =
-          engine->load_shard(*reader, *engine->shards_[s], payload_version);
-      if (payload_version == 1) watermarks[s] = v1_mark;
-    }
+    if (!layout.watermarks.empty()) watermarks = layout.watermarks;
+    engine->load_sections(*reader, layout, watermarks);
   }
 
   persist::ensure_directory(dir);
@@ -1034,12 +1108,14 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
         "with " + std::to_string(engine->shards_.size()) +
         " — pass the EngineConfig the logs were written under");
   }
-  for (std::size_t s = 0; s < engine->shards_.size(); ++s) {
+  // Phase 2: each shard replays its own WAL past its watermark, repairs a
+  // torn tail, and opens its writer.
+  engine->for_all_shards([&](std::size_t s) {
     Shard& shard = *engine->shards_[s];
+    const auto id = static_cast<std::uint32_t>(s);
     std::lock_guard lock(shard.mutex);
     const auto report = persist::replay_wal(
-        dir, static_cast<std::uint32_t>(s), watermarks[s],
-        [&](const persist::WalFrame& frame) {
+        dir, id, watermarks[s], [&](const persist::WalFrame& frame) {
           engine->apply_wal_frame(shard, frame.payload);
         });
     // The writer resumes after the last frame actually applied; max() covers
@@ -1048,10 +1124,10 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
     if (report.truncated_tail) {
       // A torn or corrupt suffix was skipped — physically discard it so the
       // on-disk log agrees with the state we restored.
-      persist::repair_wal(dir, static_cast<std::uint32_t>(s), next);
+      persist::repair_wal(dir, id, next);
     }
-    shard.wal.emplace(dir, static_cast<std::uint32_t>(s), durability.wal, next);
-  }
+    shard.wal.emplace(dir, id, durability.wal, next);
+  });
   engine->config_.durability = std::move(durability);
   engine->start_syncer();
   LARP_LOG_INFO("serve") << "PredictionEngine: restored from " << dir.string()
@@ -1064,41 +1140,8 @@ std::unique_ptr<PredictionEngine> PredictionEngine::restore(
 PredictionEngine::SnapshotDescription PredictionEngine::describe_payload(
     std::span<const std::byte> payload) {
   persist::io::Reader r{payload};
-  SnapshotDescription d;
-  d.payload_version = r.u32();
-  if (d.payload_version == 0 || d.payload_version > kEnginePayloadVersion) {
-    throw persist::CorruptData("engine snapshot: unsupported payload version " +
-                               std::to_string(d.payload_version));
-  }
   EngineConfig config;
-  load_engine_config(r, config, d.payload_version);
-  d.shards = config.shards;
-  if (d.payload_version >= 2) {
-    const auto table_shards = static_cast<std::size_t>(
-        r.length(r.u64(), sizeof(std::uint64_t)));
-    if (table_shards != d.shards) {
-      throw persist::CorruptData(
-          "engine snapshot: watermark table size disagrees with the shard "
-          "count");
-    }
-    for (std::size_t s = 0; s < table_shards; ++s) {
-      d.watermarks.push_back(r.u64());
-    }
-  }
-  if (d.payload_version >= 4) {
-    const auto table_shards = static_cast<std::size_t>(
-        r.length(r.u64(), 2 * sizeof(std::uint64_t)));
-    if (table_shards != d.shards) {
-      throw persist::CorruptData(
-          "engine snapshot: accounting table size disagrees with the shard "
-          "count");
-    }
-    for (std::size_t s = 0; s < table_shards; ++s) {
-      d.raw_bytes.push_back(r.u64());
-      d.encoded_bytes.push_back(r.u64());
-    }
-  }
-  return d;
+  return read_payload_prefix(r, config);
 }
 
 std::size_t PredictionEngine::series_count() const {

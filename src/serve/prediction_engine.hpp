@@ -91,9 +91,9 @@ struct EngineConfig {
   qa::QaConfig quality;
   /// Hash partitions; more shards = less cross-series contention.
   std::size_t shards = 8;
-  /// Parallelism of the batched calls: `threads` workers run the shards
-  /// while the caller waits; 1 starts no worker and runs every shard on the
-  /// calling thread (0 = hardware concurrency).
+  /// Parallelism of the batched calls, snapshot() and restore(): `threads`
+  /// workers run the shards while the caller waits; 1 starts no worker and
+  /// runs every shard on the calling thread (0 = hardware concurrency).
   std::size_t threads = 0;
   /// Observations before a series lazily trains itself, and the number of
   /// recent samples a QA-ordered re-train uses.
@@ -187,6 +187,14 @@ class PredictionEngine {
   /// cadence) always comes from the snapshot; `config_override` contributes
   /// only the runtime knobs (threads, durability tuning).  The restored
   /// engine logs onward into `dir`.
+  ///
+  /// Runs in two phases, each fanned out over the shards on the engine's
+  /// own pool: first every shard section is decoded from the mapped
+  /// snapshot (v4 sections are cut apart by the accounting table's
+  /// lengths), touching no file, so a corrupt section throws CorruptData
+  /// before any WAL is repaired; then every shard replays its WAL, repairs
+  /// a torn tail and opens its writer.  The result does not depend on the
+  /// thread count.
   static std::unique_ptr<PredictionEngine> restore(
       predictors::PredictorPool pool_prototype,
       const std::filesystem::path& dir,
@@ -217,13 +225,16 @@ class PredictionEngine {
   bool erase(const tsdb::SeriesKey& key);
 
   /// Writes one atomic, checksummed snapshot of the full engine state into
-  /// `dir` — incrementally: shards are serialized one at a time under their
-  /// own mutex (each section flushes that shard's WAL and records its
-  /// watermark), so the serving pause is bounded by the largest single
-  /// shard instead of the whole engine; see EngineStats::
-  /// snapshot_max_pause_seconds.  The combined file is still published
-  /// atomically.  When `dir` is the configured data_dir, WAL segments made
-  /// obsolete by the new snapshot are pruned.  Returns the snapshot's epoch.
+  /// `dir` — incrementally: each shard is serialized into its own buffer
+  /// under its own mutex (flushing that shard's WAL and recording its
+  /// watermark), the shards fanned out over the engine's pool, so the
+  /// serving pause is bounded by the largest single shard instead of the
+  /// whole engine; see EngineStats::snapshot_max_pause_seconds.  A batched
+  /// call made meanwhile runs inline on its caller.  The sections are
+  /// written in shard order, so the bytes do not depend on the thread
+  /// count, and the combined file is still published atomically.  When
+  /// `dir` is the configured data_dir, WAL segments made obsolete by the new
+  /// snapshot are pruned.  Returns the snapshot's epoch.
   std::uint64_t snapshot(const std::filesystem::path& dir);
   /// snapshot() into the configured durability data_dir.
   std::uint64_t snapshot();
@@ -241,7 +252,9 @@ class PredictionEngine {
   /// construction, no predictor state parsed): payload version, per-shard
   /// WAL watermarks (v2+), and the raw-vs-encoded storage accounting the v4
   /// writer embeds — what `larp_cli inspect-snapshot` prints so compression
-  /// ratios are observable in production without a bench run.
+  /// ratios are observable in production without a bench run.  The encoded
+  /// column is each shard section's exact length; a v4 payload whose
+  /// lengths do not add up to its section bytes throws CorruptData.
   struct SnapshotDescription {
     std::uint32_t payload_version = 0;
     std::uint64_t shards = 0;
@@ -393,6 +406,12 @@ class PredictionEngine {
   /// the payload-level table (returns 0).
   std::uint64_t load_shard(persist::io::Reader& r, Shard& shard,
                            std::uint32_t payload_version);
+  /// Decodes every shard section that follows the payload prefix `layout`
+  /// describes: v4 sections in parallel, cut apart by their recorded
+  /// lengths, v1-v3 sections in order.  Fills `watermarks` from the section
+  /// heads of a v1 payload.
+  void load_sections(persist::io::Reader& r, const SnapshotDescription& layout,
+                     std::vector<std::uint64_t>& watermarks);
   /// Applies one replayed WAL frame to its shard — a legacy per-op payload
   /// or a compressed block (dispatched on the payload's first byte; blocks
   /// advance the shard codec exactly as encoding them did).
@@ -405,6 +424,11 @@ class PredictionEngine {
   /// shard with work, fanned out across the pool.
   template <typename KeyOf, typename Fn>
   void for_each_shard(std::size_t count, const KeyOf& key_of, const Fn& fn);
+  /// Runs fn(shard_id) for every shard, fanned out across the pool.  When
+  /// some throw, rethrows the lowest shard's exception — the one a walk in
+  /// shard order meets first — so the error does not depend on the threads.
+  template <typename Fn>
+  void for_all_shards(const Fn& fn);
 
   predictors::PredictorPool pool_prototype_;
   EngineConfig config_;

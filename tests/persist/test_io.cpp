@@ -20,12 +20,41 @@ std::span<const std::byte> as_bytes(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-// The canonical check vector from the iSCSI CRC32C specification.
-TEST(Crc32c, MatchesKnownVectors) {
+// Pins the portable slicing-by-8 path for one scope.
+class PortableCrc32c {
+ public:
+  PortableCrc32c() : was_portable_(testing::force_portable_crc32c(true)) {}
+  ~PortableCrc32c() { (void)testing::force_portable_crc32c(was_portable_); }
+  PortableCrc32c(const PortableCrc32c&) = delete;
+  PortableCrc32c& operator=(const PortableCrc32c&) = delete;
+
+ private:
+  bool was_portable_;
+};
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (auto& b : out) {
+    b = static_cast<std::byte>(rng.uniform_int(0, 255));
+  }
+  return out;
+}
+
+void expect_known_vectors() {
   EXPECT_EQ(crc32c(as_bytes("123456789")), 0xE3069283u);
   EXPECT_EQ(crc32c(as_bytes("")), 0x00000000u);
   const std::string zeros(32, '\0');
   EXPECT_EQ(crc32c(as_bytes(zeros)), 0x8A9136AAu);
+}
+
+// The canonical check vector from the iSCSI CRC32C specification, on the
+// path the CPU selects and on the portable one.
+TEST(Crc32c, MatchesKnownVectors) {
+  expect_known_vectors();
+  const PortableCrc32c portable;
+  EXPECT_FALSE(testing::crc32c_uses_sse42());
+  expect_known_vectors();
 }
 
 TEST(Crc32c, IncrementalMatchesOneShot) {
@@ -35,6 +64,50 @@ TEST(Crc32c, IncrementalMatchesOneShot) {
     state = crc32c_update(state, as_bytes(data.substr(0, split)));
     state = crc32c_update(state, as_bytes(data.substr(split)));
     EXPECT_EQ(crc32c_finish(state), crc32c(as_bytes(data)));
+  }
+}
+
+// The SSE4.2 path against the slicing-by-8 reference: every length from 0
+// to 4096 at every start offset 0-7, so each alignment of the 8-byte loop
+// and each tail length is covered.
+TEST(Crc32c, HardwarePathMatchesThePortableReference) {
+  if (!testing::crc32c_uses_sse42()) GTEST_SKIP() << "CPU has no SSE4.2";
+  const auto data = random_bytes(4096 + 8, 17);
+  std::vector<std::uint32_t> hardware;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      hardware.push_back(crc32c(std::span(data).subspan(offset, n)));
+    }
+  }
+  const PortableCrc32c portable;
+  std::size_t at = 0;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 4096; ++n) {
+      ASSERT_EQ(hardware[at++], crc32c(std::span(data).subspan(offset, n)))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+// Incremental updates split anywhere — including mid-word, so a hardware
+// update starts and ends unaligned — give the portable one-shot checksum.
+TEST(Crc32c, HardwareIncrementalSplitsMatchThePortableOneShot) {
+  if (!testing::crc32c_uses_sse42()) GTEST_SKIP() << "CPU has no SSE4.2";
+  const auto data = random_bytes(203, 29);
+  const std::span<const std::byte> all(data);
+  std::uint32_t want = 0;
+  {
+    const PortableCrc32c portable;
+    want = crc32c(all);
+  }
+  for (std::size_t a = 0; a <= all.size(); ++a) {
+    for (std::size_t b = a; b <= all.size(); b += 7) {
+      std::uint32_t state = crc32c_init();
+      state = crc32c_update(state, all.first(a));
+      state = crc32c_update(state, all.subspan(a, b - a));
+      state = crc32c_update(state, all.subspan(b));
+      ASSERT_EQ(crc32c_finish(state), want) << "splits " << a << ", " << b;
+    }
   }
 }
 

@@ -4,13 +4,16 @@
 // IEEE-754 bit patterns, not within a tolerance.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "persist/io.hpp"
@@ -39,6 +42,12 @@ constexpr std::size_t kConfigEnd = kFastTrainThreshold + 8;
 // only the watermark table precedes it.
 constexpr std::size_t kV4Shard0FastTrains = kConfigEnd + 40 + 72 + 6 * 8;
 constexpr std::size_t kV3Shard0FastTrains = kConfigEnd + 40 + 6 * 8;
+// Shard s's encoded column in the v4 byte-accounting table (a count, then a
+// raw and an encoded u64 per shard), and where the 4 sections start.
+constexpr std::size_t v4_encoded_bytes_at(std::size_t s) {
+  return kConfigEnd + 40 + 8 + 16 * s + 8;
+}
+constexpr std::size_t kV4Sections = kConfigEnd + 40 + 72;
 
 fs::path golden_fixture(const char* name) {
   return fs::path(LARP_PERSIST_TESTDATA_DIR) / name;
@@ -47,12 +56,34 @@ fs::path golden_fixture(const char* name) {
 std::vector<std::byte> golden_payload(const char* name) {
   const auto loaded = persist::load_newest_valid(golden_fixture(name));
   if (!loaded) throw std::runtime_error(std::string("no snapshot in ") + name);
-  return loaded->payload;
+  return {loaded->payload.begin(), loaded->payload.end()};
 }
 
-std::uint64_t u64_at(const std::vector<std::byte>& payload, std::size_t at) {
-  persist::io::Reader r{std::span<const std::byte>(payload).subspan(at, 8)};
+std::uint64_t u64_at(std::span<const std::byte> payload, std::size_t at) {
+  persist::io::Reader r{payload.subspan(at, 8)};
   return r.u64();
+}
+
+void set_u64(std::vector<std::byte>& payload, std::size_t at,
+             std::uint64_t value) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    payload.at(at + i) = static_cast<std::byte>((value >> (8 * i)) & 0xFFu);
+  }
+}
+
+/// Every WAL segment in `dir`, by file name, with its bytes.
+std::map<std::string, std::vector<std::byte>> wal_files(const fs::path& dir) {
+  std::map<std::string, std::vector<std::byte>> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("wal-")) files[name] = persist::read_file(entry.path());
+  }
+  return files;
+}
+
+void append_garbage(const fs::path& file, std::size_t bytes) {
+  std::ofstream out(file, std::ios::binary | std::ios::app);
+  for (std::size_t i = 0; i < bytes; ++i) out.put(static_cast<char>(0x5A));
 }
 
 tsdb::SeriesKey key_of(std::size_t s) {
@@ -520,25 +551,132 @@ TEST_F(RecoveryTest, GoldenV1EngineDirectoryStillRestores) {
 // drive(with_predict) on base_config(), so its restore must continue exactly
 // like an engine that never crashed.  The v1 and v3 WAL tails hold per-op
 // frames, so this is also the bit-identity check of the per-op reader.
+// Restored at 1 and at 4 threads, so both the in-order walk of the v1/v3
+// sections and the parallel decode of the v4 ones are checked.
 TEST_F(RecoveryTest, GoldenFixturesMatchAnUncrashedEngine) {
   fs::create_directories(dir_);
-  for (const char* name : {"engine-v1", "engine-v3", "engine-v4"}) {
-    SCOPED_TRACE(name);
-    const fs::path fixture = fs::path(LARP_PERSIST_TESTDATA_DIR) / name;
-    ASSERT_TRUE(fs::exists(fixture)) << "missing committed fixture " << fixture;
-    fs::copy(fixture, dir_ / name, fs::copy_options::recursive);
+  for (const std::size_t threads : {1, 4}) {
+    for (const char* name : {"engine-v1", "engine-v3", "engine-v4"}) {
+      SCOPED_TRACE(std::string(name) + " at " + std::to_string(threads) +
+                   " threads");
+      const fs::path fixture = fs::path(LARP_PERSIST_TESTDATA_DIR) / name;
+      ASSERT_TRUE(fs::exists(fixture)) << "missing committed fixture " << fixture;
+      const fs::path dir = dir_ / (name + std::to_string(threads));
+      fs::copy(fixture, dir, fs::copy_options::recursive);
+      EngineConfig runtime = base_config();
+      runtime.threads = threads;
+      auto restored = PredictionEngine::restore(predictors::make_paper_pool(5),
+                                                dir, runtime);
+      EXPECT_EQ(restored->threads(), threads);
+
+      StreamState stream_a;
+      StreamState stream_b;
+      PredictionEngine reference(predictors::make_paper_pool(5), base_config());
+      drive(reference, stream_b, kTrain + 11, /*with_predict=*/true);
+      for (std::size_t i = 0; i < kTrain + 11; ++i) {
+        for (std::size_t s = 0; s < kSeries; ++s) (void)stream_a.sample(s);
+      }
+      expect_identical_future(*restored, reference, stream_a, stream_b, 15);
+    }
+  }
+}
+
+// Snapshots taken from one thread while another serves batches: each
+// snapshot holds the engine's workers, so the batches run inline on their
+// caller meanwhile.  Every shard's cut must still agree with its WAL, so the
+// crashed engine restores bit-identically to one that never snapshotted.
+TEST_F(RecoveryTest, SnapshotsDuringConcurrentBatchesRecoverBitIdentically) {
+  EngineConfig config = durable_config(dir_);
+  config.threads = 3;
+  {
+    PredictionEngine durable(predictors::make_paper_pool(5), config);
+    StreamState stream;
+    std::atomic<bool> serving{true};
+    std::thread server([&] {
+      drive(durable, stream, kTrain + 30, /*with_predict=*/true);
+      serving.store(false);
+    });
+    std::size_t snapshots = 0;
+    while (serving.load() || snapshots < 2) {
+      (void)durable.snapshot();
+      ++snapshots;
+    }
+    server.join();
+  }
+  StreamState stream_a;
+  StreamState stream_b;
+  PredictionEngine reference(predictors::make_paper_pool(5), base_config());
+  drive(reference, stream_b, kTrain + 30, /*with_predict=*/true);
+  for (std::size_t i = 0; i < kTrain + 30; ++i) {
+    for (std::size_t s = 0; s < kSeries; ++s) (void)stream_a.sample(s);
+  }
+  auto restored =
+      PredictionEngine::restore(predictors::make_paper_pool(5), dir_, config);
+  EXPECT_EQ(restored->stats().observations, reference.stats().observations);
+  EXPECT_EQ(restored->stats().predictions, reference.stats().predictions);
+  expect_identical_future(*restored, reference, stream_a, stream_b, 15);
+}
+
+// The payload does not depend on the thread count: engines fed the same
+// stream at 1 and at 4 threads write byte-identical snapshots, the second
+// one cut at non-zero WAL watermarks.
+TEST_F(RecoveryTest, SnapshotBytesDoNotDependOnTheThreadCount) {
+  std::vector<std::vector<std::byte>> payloads;
+  for (const std::size_t threads : {1, 4}) {
+    const fs::path dir = dir_ / std::to_string(threads);
+    EngineConfig config = durable_config(dir);
+    config.threads = threads;
+    StreamState stream;
+    PredictionEngine engine(predictors::make_paper_pool(5), config);
+    drive(engine, stream, kTrain + 10, /*with_predict=*/true);
+    (void)engine.snapshot();
+    drive(engine, stream, 7, /*with_predict=*/true);
+    EXPECT_EQ(engine.snapshot(), 2u);
+    const auto loaded = persist::load_newest_valid(dir);
+    ASSERT_TRUE(loaded.has_value());
+    payloads.emplace_back(loaded->payload.begin(), loaded->payload.end());
+  }
+  EXPECT_EQ(payloads[0], payloads[1]);
+}
+
+// One crashed directory — snapshot, WAL tail, torn last frame on shard 2 —
+// restored at 1 and at 4 threads: the same log positions, and both continue
+// bit-identically to an engine that never crashed.
+TEST_F(RecoveryTest, RestoreDoesNotDependOnTheThreadCount) {
+  const fs::path crashed = dir_ / "crashed";
+  {
+    StreamState stream;
+    PredictionEngine durable(predictors::make_paper_pool(5),
+                             durable_config(crashed));
+    drive(durable, stream, kTrain + 10, /*with_predict=*/true);
+    (void)durable.snapshot();
+    drive(durable, stream, 17, /*with_predict=*/true);
+  }
+  const auto segments = persist::list_wal_segments(crashed, 2);
+  ASSERT_FALSE(segments.empty());
+  append_garbage(segments.back().path, 11);
+
+  std::vector<std::vector<std::uint64_t>> positions;
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const fs::path dir = dir_ / std::to_string(threads);
+    fs::copy(crashed, dir, fs::copy_options::recursive);
+    EngineConfig runtime = durable_config(dir);
+    runtime.threads = threads;
     auto restored =
-        PredictionEngine::restore(predictors::make_paper_pool(5), dir_ / name);
+        PredictionEngine::restore(predictors::make_paper_pool(5), dir, runtime);
+    positions.push_back(restored->wal_positions());
 
     StreamState stream_a;
     StreamState stream_b;
     PredictionEngine reference(predictors::make_paper_pool(5), base_config());
-    drive(reference, stream_b, kTrain + 11, /*with_predict=*/true);
-    for (std::size_t i = 0; i < kTrain + 11; ++i) {
+    drive(reference, stream_b, kTrain + 27, /*with_predict=*/true);
+    for (std::size_t i = 0; i < kTrain + 27; ++i) {
       for (std::size_t s = 0; s < kSeries; ++s) (void)stream_a.sample(s);
     }
     expect_identical_future(*restored, reference, stream_a, stream_b, 15);
   }
+  EXPECT_EQ(positions[0], positions[1]);
 }
 
 // A WAL-only directory cannot carry the shard count, and replaying it under
@@ -639,6 +777,94 @@ TEST_F(RecoveryTest, GoldenV4EngineDirectoryStillRestores) {
   for (const auto& p : restored->predict(keys)) EXPECT_TRUE(p.ready);
 }
 
+// restore() cuts v4 sections apart by the accounting table's encoded column,
+// so it checks the column first.  Each case below republishes the golden v4
+// payload with a valid checksum.  A boundary moved by one byte keeps the
+// column's sum, so only the section decode can catch it.
+TEST_F(RecoveryTest, SectionBoundaryMovedByOneByteIsCorrupt) {
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    auto payload = golden_payload("engine-v4");
+    set_u64(payload, v4_encoded_bytes_at(1),
+            u64_at(payload, v4_encoded_bytes_at(1)) + 1);
+    set_u64(payload, v4_encoded_bytes_at(2),
+            u64_at(payload, v4_encoded_bytes_at(2)) - 1);
+    const fs::path dir = dir_ / std::to_string(threads);
+    persist::publish_snapshot(dir, 1, payload);
+    EXPECT_NO_THROW((void)PredictionEngine::describe_payload(payload));
+    EngineConfig runtime = base_config();
+    runtime.threads = threads;
+    EXPECT_THROW((void)PredictionEngine::restore(
+                     predictors::make_paper_pool(5), dir, runtime),
+                 persist::CorruptData);
+  }
+}
+
+TEST_F(RecoveryTest, SectionLengthsPastThePayloadAreCorrupt) {
+  auto payload = golden_payload("engine-v4");
+  set_u64(payload, v4_encoded_bytes_at(3),
+          u64_at(payload, v4_encoded_bytes_at(3)) + 8);
+  persist::publish_snapshot(dir_, 1, payload);
+  EXPECT_THROW((void)PredictionEngine::describe_payload(payload),
+               persist::CorruptData);
+  EXPECT_THROW(
+      (void)PredictionEngine::restore(predictors::make_paper_pool(5), dir_),
+      persist::CorruptData);
+}
+
+TEST_F(RecoveryTest, BytesAfterTheLastSectionAreCorrupt) {
+  auto payload = golden_payload("engine-v4");
+  payload.resize(payload.size() + 8, std::byte{0});
+  persist::publish_snapshot(dir_ / "uncounted", 1, payload);
+  EXPECT_THROW((void)PredictionEngine::describe_payload(payload),
+               persist::CorruptData);
+  EXPECT_THROW((void)PredictionEngine::restore(predictors::make_paper_pool(5),
+                                               dir_ / "uncounted"),
+               persist::CorruptData);
+  // Counted in the last section's length, the same bytes pass the sum
+  // check; the section's decode then ends before its recorded length.
+  set_u64(payload, v4_encoded_bytes_at(3),
+          u64_at(payload, v4_encoded_bytes_at(3)) + 8);
+  persist::publish_snapshot(dir_ / "counted", 1, payload);
+  EXPECT_NO_THROW((void)PredictionEngine::describe_payload(payload));
+  EXPECT_THROW((void)PredictionEngine::restore(predictors::make_paper_pool(5),
+                                               dir_ / "counted"),
+               persist::CorruptData);
+}
+
+// Sections decode before any WAL is touched: a corrupt section fails the
+// restore and leaves every log byte-identical, the torn tail that replay
+// would have repaired included.
+TEST_F(RecoveryTest, CorruptSectionFailsBeforeAnyWalIsRepaired) {
+  fs::copy(fs::path(LARP_PERSIST_TESTDATA_DIR) / "engine-v4", dir_,
+           fs::copy_options::recursive);
+  const auto segments = persist::list_wal_segments(dir_, 3);
+  ASSERT_FALSE(segments.empty());
+  append_garbage(segments.back().path, 13);
+  auto payload = golden_payload("engine-v4");
+  std::size_t at = kV4Sections;
+  for (std::size_t s = 0; s < 2; ++s) {
+    at += static_cast<std::size_t>(u64_at(payload, v4_encoded_bytes_at(s)));
+  }
+  const auto length =
+      static_cast<std::size_t>(u64_at(payload, v4_encoded_bytes_at(2)));
+  std::fill_n(payload.begin() + static_cast<std::ptrdiff_t>(at), length,
+              std::byte{0xFF});
+  persist::publish_snapshot(dir_, 1, payload);
+  const auto before = wal_files(dir_);
+  ASSERT_EQ(before.size(), 4u);
+
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    EngineConfig runtime = base_config();
+    runtime.threads = threads;
+    EXPECT_THROW((void)PredictionEngine::restore(
+                     predictors::make_paper_pool(5), dir_, runtime),
+                 persist::CorruptData);
+    EXPECT_EQ(wal_files(dir_), before);
+  }
+}
+
 // The cold-start selector tier is gone, but the v3/v4 payload keeps its
 // config slots: a snapshot taken with the tier on must be refused, not
 // restored into an engine that serves different forecasts.
@@ -648,7 +874,8 @@ TEST_F(RecoveryTest, TierOnSnapshotIsRefused) {
   ASSERT_TRUE(golden.has_value());
   for (const std::size_t offset : {kTierByte, kFastTrainThreshold}) {
     SCOPED_TRACE("offset " + std::to_string(offset));
-    std::vector<std::byte> payload = golden->payload;
+    std::vector<std::byte> payload(golden->payload.begin(),
+                                   golden->payload.end());
     ASSERT_EQ(payload.at(offset), std::byte{0});
     payload[offset] = std::byte{1};
     const fs::path dir = dir_ / std::to_string(offset);

@@ -37,7 +37,7 @@ class SnapshotTest : public ::testing::Test {
     return out;
   }
 
-  static std::string text(const std::vector<std::byte>& bytes) {
+  static std::string text(std::span<const std::byte> bytes) {
     return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
   }
 
