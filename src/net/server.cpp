@@ -6,8 +6,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -519,6 +521,21 @@ void Server::process_frames(Loop& loop, Conn& conn) {
           if (conn.run != Run::kObserve) flush_runs(loop, conn);
           const std::size_t before = conn.obs_used;
           conn.obs_used = decode_observe_items(r, conn.obs, conn.obs_used);
+          const auto items = std::span<const serve::Observation>(
+              conn.obs.data() + before, conn.obs_used - before);
+          if (std::any_of(items.begin(), items.end(), [](const auto& o) {
+                return !std::isfinite(o.value);
+              })) {
+            // The engine would refuse the whole run for it.  Only this
+            // request is the client's fault: the run before it still
+            // applies, and the connection keeps serving.
+            conn.obs_used = before;
+            flush_runs(loop, conn);
+            encode_error(conn.reply, h.id, ErrorCode::kBadRequest,
+                         "observe: non-finite value");
+            enqueue_reply(loop, conn);
+            break;
+          }
           conn.run = Run::kObserve;
           conn.entries.push_back({h.id, conn.obs_used - before});
           break;

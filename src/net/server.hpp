@@ -34,7 +34,10 @@
 // Errors: a payload that fails validation gets a kBadRequest error reply; a
 // framing/CRC failure gets kBadFrame.  Either way the server stops reading
 // from that connection and closes it once the error reply has drained — a
-// peer whose stream is corrupt cannot be re-synchronized.
+// peer whose stream is corrupt cannot be re-synchronized.  An observe
+// request holding a NaN or infinite value, which the engine refuses, also
+// gets kBadRequest, but the connection stays open: the run coalesced before
+// it is applied first, and nothing of the refused request is.
 //
 // Backpressure: when a connection's pending output exceeds
 // write_backpressure_bytes the server stops reading from it until the

@@ -2,22 +2,6 @@
 
 namespace larp::persist::codec {
 
-void encode_f64_block(BlockWriter& w, std::span<const double> xs) {
-  XorState state;
-  for (double x : xs) XorEncoder::put(w, state, x);
-}
-
-std::size_t decode_f64_block(BlockReader& r, std::size_t count,
-                             std::vector<double>& out) {
-  XorState state;
-  const std::size_t at = out.size();
-  out.reserve(at + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    out.push_back(XorDecoder::get(r, state));
-  }
-  return at;
-}
-
 void encode_i64_block(BlockWriter& w, std::span<const std::int64_t> xs) {
   DodEncoder enc;
   for (std::int64_t x : xs) enc.put(w, x);

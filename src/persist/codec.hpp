@@ -362,10 +362,24 @@ class XorDecoder {
 };
 
 /// Convenience block forms used by snapshot sections: a self-contained
-/// chain (fresh state per block) over a whole span.
-void encode_f64_block(BlockWriter& w, std::span<const double> xs);
+/// chain (fresh state per block) over a whole range of doubles.
+template <typename Range>
+void encode_f64_block(BlockWriter& w, const Range& xs) {
+  XorState state;
+  for (const double x : xs) XorEncoder::put(w, state, x);
+}
+/// Appends `count` values to `out` (any container with push_back) and
+/// returns the index of the first.
+template <typename Container>
 [[nodiscard]] std::size_t decode_f64_block(BlockReader& r, std::size_t count,
-                                           std::vector<double>& out);
+                                           Container& out) {
+  XorState state;
+  const std::size_t at = out.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back(XorDecoder::get(r, state));
+  }
+  return at;
+}
 void encode_i64_block(BlockWriter& w, std::span<const std::int64_t> xs);
 void decode_i64_block(BlockReader& r, std::size_t count,
                       std::vector<std::int64_t>& out);

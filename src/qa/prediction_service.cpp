@@ -94,11 +94,9 @@ std::size_t PredictionService::advance(const tsdb::SeriesKey& key) {
     state.pending_ts = target;
 
     // Audit on cadence; a breach re-trains from recent data.
-    if (state.processed % config_.audit_every == 0) {
-      qa_.set_retrain_handler([this](const tsdb::SeriesKey& k) {
-        retrain_stream(k);
-      });
-      qa_.audit(key);
+    if (state.processed % config_.audit_every == 0 &&
+        qa_.audit(key).retrain_ordered) {
+      retrain_stream(key);
     }
   }
   return processed;

@@ -6,9 +6,8 @@
 // data."
 #pragma once
 
-#include <functional>
-
 #include "tsdb/prediction_db.hpp"
+#include "util/stats.hpp"
 
 namespace larp::qa {
 
@@ -22,42 +21,41 @@ struct QaConfig {
   std::size_t min_records = 12;
 };
 
+/// Throws InvalidArgument unless the threshold is positive and both windows
+/// are non-zero.
+void validate(const QaConfig& config);
+
 /// Outcome of one audit pass.
 struct AuditReport {
   bool audited = false;          // false when too few resolved records exist
   double mse = 0.0;              // audited MSE (valid when audited)
-  bool retrain_ordered = false;  // threshold breached -> handler invoked
+  bool retrain_ordered = false;  // threshold breached: the caller re-trains
   std::size_t records = 0;       // resolved records inspected
 };
 
+/// The audit rule, for any store of resolved forecasts: `window` holds the
+/// stream's newest audit_window resolved forecasts, added oldest first.
+/// Fewer than min_records are not judged; otherwise a mean squared error
+/// above the threshold orders a re-train.
+[[nodiscard]] AuditReport judge(const QaConfig& config,
+                                const stats::RunningMse& window);
+
 class QualityAssuror {
  public:
-  /// Called when an audit breaches the threshold; receives the stream key.
-  using RetrainHandler = std::function<void(const tsdb::SeriesKey&)>;
-
   /// Borrows the prediction database (caller keeps it alive).
-  /// Throws InvalidArgument for a non-positive threshold or zero windows.
+  /// Throws InvalidArgument for a config validate() refuses.
   QualityAssuror(const tsdb::PredictionDatabase& db, QaConfig config);
 
-  void set_retrain_handler(RetrainHandler handler);
-
-  /// Audits one stream and, on breach, invokes the handler.
+  /// Audits one stream; on a breach the report orders the re-train.
   AuditReport audit(const tsdb::SeriesKey& key);
 
   [[nodiscard]] const QaConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t audits_performed() const noexcept { return audits_; }
   [[nodiscard]] std::size_t retrains_ordered() const noexcept { return retrains_; }
 
-  /// Reinstates counters from a durable snapshot.
-  void restore_counters(std::size_t audits, std::size_t retrains) noexcept {
-    audits_ = audits;
-    retrains_ = retrains;
-  }
-
  private:
   const tsdb::PredictionDatabase* db_;
   QaConfig config_;
-  RetrainHandler handler_;
   std::size_t audits_ = 0;
   std::size_t retrains_ = 0;
 };

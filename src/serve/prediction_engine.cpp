@@ -29,6 +29,12 @@ std::uint64_t now_nanos() {
           .count());
 }
 
+// A series' forecast as the engine serves it; not ready while untrained.
+Prediction ready(const std::optional<core::LarPredictor::Forecast>& f) {
+  if (!f) return Prediction{};
+  return Prediction{true, f->value, f->label, f->uncertainty};
+}
+
 // Engine snapshot payload version (inside the persist::snapshot container,
 // which carries its own format version and checksum).
 //
@@ -52,13 +58,19 @@ std::uint64_t now_nanos() {
 //        delta-of-delta/XOR prediction records.  Predictor internals stay
 //        in their own opaque save_state() encoding.
 //
+// A series' prediction records are its audit window (SeriesLifecycle): at
+// most quality.audit_window resolved records, then the pending forecast.
+// Older writers kept every record since the series' last re-train; the
+// layout is the same, and the reader keeps the newest audit_window.
+//
 // restore() reads all four: v1 maps its global counters onto shard 0,
 // which preserves every aggregate stats() total.
 constexpr std::uint32_t kEnginePayloadVersion = 4;
 
 // WAL frame types.  predict() frames matter for bit-identical recovery:
 // predict_next() mutates the predictor's pending-forecast state and the
-// prediction DB, both of which feed the residual/uncertainty stream.
+// series' kept forecast, which feed the residual/uncertainty stream and the
+// audit.
 constexpr std::uint8_t kWalObserve = 0;
 constexpr std::uint8_t kWalPredict = 1;
 constexpr std::uint8_t kWalErase = 2;
@@ -217,21 +229,18 @@ PredictionEngine::PredictionEngine(predictors::PredictorPool pool_prototype,
     throw InvalidArgument(
         "PredictionEngine: train_samples must be at least window + 2");
   }
+  // Checked here rather than where it is used, so a config restored from a
+  // snapshot is checked too; a zero audit window would break the ring.
+  qa::validate(config_.quality);
   if (config_.history_capacity < config_.train_samples) {
     config_.history_capacity = config_.train_samples;
   }
+  lifecycle_ = {&pool_prototype_, config_.lar, config_.quality,
+                config_.train_samples, config_.history_capacity,
+                config_.audit_every};
   shards_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->qa.emplace(shard->predictions, config_.quality);
-    // The handler runs inside audit() while the shard mutex is held by the
-    // auditing thread, so the flag write is race-free.
-    Shard* raw = shard.get();
-    shard->qa->set_retrain_handler([raw](const tsdb::SeriesKey& key) {
-      const auto it = raw->series.find(key);
-      if (it != raw->series.end()) it->second.retrain_requested = true;
-    });
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
   if (!config_.durability.data_dir.empty()) {
     persist::ensure_directory(config_.durability.data_dir);
@@ -359,73 +368,24 @@ void PredictionEngine::for_all_shards(const Fn& fn) {
   }
 }
 
-void PredictionEngine::train_series(Shard& shard, const tsdb::SeriesKey& key,
-                                    SeriesState& state, bool is_retrain) {
-  const std::size_t take =
-      std::min(state.history.size(), config_.train_samples);
-  const std::vector<double> recent(state.history.end() - take,
-                                   state.history.end());
-  if (is_retrain) {
-    state.predictor->retrain(recent);
-    // Forget the audited records that triggered the order — including any
-    // still-pending forecast the pre-retrain predictor issued — so the next
-    // audit judges the re-trained predictor on fresh forecasts only.
-    shard.predictions.prune_before(key, state.next_ts + 1);
-    shard.retrains.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    state.predictor.emplace(pool_prototype_.clone(), config_.lar);
-    state.predictor->train(recent);
-    shard.trains.fetch_add(1, std::memory_order_relaxed);
-    shard.trained_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  state.retrain_requested = false;
-}
-
 void PredictionEngine::absorb(Shard& shard, const tsdb::SeriesKey& key,
                               double value) {
   const auto [it, inserted] = shard.series.try_emplace(key);
   if (inserted) shard.series_count.fetch_add(1, std::memory_order_relaxed);
-  SeriesState& state = it->second;
-
-  // Resolve the forecast issued for this logical timestamp, if any.
-  if (state.predictor) {
-    if (const auto record = shard.predictions.find(key, state.next_ts);
-        record && !record->resolved()) {
-      shard.predictions.record_observation(key, state.next_ts, value);
-      const double err = record->predicted - value;
-      shard.resolved.fetch_add(1, std::memory_order_relaxed);
-      shard.abs_error_sum.fetch_add(std::abs(err), std::memory_order_relaxed);
-      shard.sq_error_sum.fetch_add(err * err, std::memory_order_relaxed);
-    }
-    state.predictor->observe(value);
+  const SeriesLifecycle::Step step = it->second.observe(value, lifecycle_);
+  if (step.resolved) {
+    shard.resolved.fetch_add(1, std::memory_order_relaxed);
+    shard.abs_error_sum.fetch_add(std::abs(step.error),
+                                  std::memory_order_relaxed);
+    shard.sq_error_sum.fetch_add(step.error * step.error,
+                                 std::memory_order_relaxed);
   }
-
-  state.history.push_back(value);
-  while (state.history.size() > config_.history_capacity) {
-    state.history.pop_front();
+  if (step.trained) {
+    shard.trains.fetch_add(1, std::memory_order_relaxed);
+    shard.trained_count.fetch_add(1, std::memory_order_relaxed);
   }
-  ++state.next_ts;
-
-  // Lazy training once enough history has accumulated.
-  if (!state.predictor && state.history.size() >= config_.train_samples) {
-    train_series(shard, key, state, /*is_retrain=*/false);
-    return;
-  }
-
-  // QA audit on cadence; a breach flags the series and we re-train from the
-  // retained history right away.
-  if (state.predictor && config_.audit_every > 0 &&
-      ++state.since_audit >= config_.audit_every) {
-    state.since_audit = 0;
-    // The lock-free mirror counts exactly what qa->audits_performed()
-    // counts: audits with enough resolved records to judge.
-    if (shard.qa->audit(key).audited) {
-      shard.audits.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (state.retrain_requested) {
-      train_series(shard, key, state, /*is_retrain=*/true);
-    }
-  }
+  if (step.audited) shard.audits.fetch_add(1, std::memory_order_relaxed);
+  if (step.retrained) shard.retrains.fetch_add(1, std::memory_order_relaxed);
 }
 
 void PredictionEngine::observe_shard(Shard& shard,
@@ -457,6 +417,14 @@ void PredictionEngine::observe(std::span<const Observation> batch) {
         "follower engine: observe() must reach the leader — follower state "
         "mutates only through replication");
   }
+  // Checked before anything is logged: a logged op that cannot apply would
+  // stop every later replay of the log at that frame.
+  for (const Observation& o : batch) {
+    if (!std::isfinite(o.value)) {
+      throw InvalidArgument("PredictionEngine::observe: non-finite value for " +
+                            o.key.to_string());
+    }
+  }
   const auto start = Clock::now();
   if (batch.size() == 1) {
     // Direct dispatch: a single-sample call skips the grouping pass and the
@@ -487,25 +455,15 @@ void PredictionEngine::observe(const tsdb::SeriesKey& key, double value) {
 Prediction PredictionEngine::peek_forecast(Shard& shard,
                                            const tsdb::SeriesKey& key) {
   const auto it = shard.series.find(key);
-  if (it == shard.series.end() || !it->second.predictor) return Prediction{};
-  const auto raw = it->second.predictor->peek_next();
-  return Prediction{true, raw.value, raw.label, raw.uncertainty};
+  if (it == shard.series.end()) return Prediction{};
+  return ready(it->second.peek());
 }
 
 Prediction PredictionEngine::forecast(Shard& shard,
                                       const tsdb::SeriesKey& key) {
   const auto it = shard.series.find(key);
-  if (it == shard.series.end() || !it->second.predictor) return Prediction{};
-  SeriesState& state = it->second;
-  const auto raw = state.predictor->predict_next();
-  // Forecasts in the DB are immutable once issued; re-predicting the same
-  // step keeps the first record (the predictor itself tracks only the
-  // latest pending value for residuals).
-  if (!shard.predictions.find(key, state.next_ts)) {
-    shard.predictions.record_prediction(key, state.next_ts, raw.value,
-                                        raw.label);
-  }
-  return Prediction{true, raw.value, raw.label, raw.uncertainty};
+  if (it == shard.series.end()) return Prediction{};
+  return ready(it->second.forecast());
 }
 
 std::vector<Prediction> PredictionEngine::predict(
@@ -521,7 +479,7 @@ void PredictionEngine::predict_shard(Shard& shard,
                                      std::vector<Prediction>& out) {
   if (config_.role == EngineRole::kFollower) {
     // Follower reads are side-effect free: no WAL frame (the follower's log
-    // must stay a byte copy of the leader's) and no prediction-DB record or
+    // must stay a byte copy of the leader's) and no kept forecast or
     // pending-forecast update (those replicate in via the leader's own
     // kWalPredict frames).
     shard.predict_count.fetch_add(indices.size(), std::memory_order_relaxed);
@@ -591,14 +549,13 @@ bool PredictionEngine::erase_locked(Shard& shard, const tsdb::SeriesKey& key) {
   const auto it = shard.series.find(key);
   const bool removed = it != shard.series.end();
   if (removed) {
-    if (it->second.predictor) {
+    if (it->second.trained()) {
       shard.trained_count.fetch_sub(1, std::memory_order_relaxed);
     }
     shard.series.erase(it);
     shard.series_count.fetch_sub(1, std::memory_order_relaxed);
     shard.erases.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.predictions.erase_stream(key);
   return removed;
 }
 
@@ -704,15 +661,14 @@ void PredictionEngine::set_replication_floor(
 void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
                                   std::uint64_t& raw_bytes,
                                   std::uint64_t& encoded_bytes) const {
-  // Accounting: `raw_repr` totals the bytes the compressed fields would
-  // have cost in the raw v3 encoding; `comp_bytes` totals what their v4
-  // representation (codec table included) actually costs.  The rest of the
-  // section is identical in both layouts, so
-  //   raw    = actual - comp_bytes + raw_repr
+  // Accounting: `compressed.raw` totals the bytes the compressed fields
+  // would have cost in the raw v3 encoding; `compressed.encoded` totals what
+  // their v4 representation (codec table included) actually costs.  The
+  // rest of the section is identical in both layouts, so
+  //   raw    = actual - compressed.encoded + compressed.raw
   //   actual = section bytes as written.
   const std::size_t section_start = w.size();
-  std::uint64_t raw_repr = 0;
-  std::uint64_t comp_bytes = 0;
+  SnapshotBytes compressed;
   persist::codec::BlockWriter block;
 
   w.u64(shard.observe_count.load(std::memory_order_relaxed));
@@ -724,78 +680,31 @@ void PredictionEngine::save_shard(persist::io::Writer& w, Shard& shard,
   w.u64(0);  // the removed tier's fast-train counter
   w.u64(shard.retrains.load(std::memory_order_relaxed));
   w.u64(shard.erases.load(std::memory_order_relaxed));
-  w.u64(shard.qa->audits_performed());
-  w.u64(shard.qa->retrains_ordered());
+  // The layout's two QA counters, audits judged and re-trains ordered:
+  // `audits` is the first, and the second equals `retrains` because every
+  // ordered re-train runs at once.
+  w.u64(shard.audits.load(std::memory_order_relaxed));
+  w.u64(shard.retrains.load(std::memory_order_relaxed));
 
   // v4: the WAL payload codec state at this shard's watermark cut — pure
   // overhead relative to v3, charged to the compressed side.
   {
     const std::size_t at = w.size();
     shard.codec.save(w);
-    comp_bytes += w.size() - at;
+    compressed.encoded += w.size() - at;
   }
 
   w.u64(shard.series.size());
-  std::vector<double> history_scratch;
-  for (const auto& [key, state] : shard.series) {
+  for (const auto& [key, series] : shard.series) {
     w.str(key.vm_id);
     w.str(key.device_id);
     w.str(key.metric);
-
-    // History: XOR chain over the retained raw samples (fresh state per
-    // block — snapshot blocks are self-contained, unlike the WAL chains).
-    w.u64(state.history.size());
-    history_scratch.assign(state.history.begin(), state.history.end());
-    block.clear();
-    persist::codec::encode_f64_block(block, history_scratch);
-    {
-      const auto bytes = block.bytes();
-      const std::size_t at = w.size();
-      w.u64(bytes.size());
-      w.bytes(bytes);
-      comp_bytes += w.size() - at;
-      raw_repr += 8 * state.history.size();
-    }
-
-    w.i64(static_cast<std::int64_t>(state.next_ts));
-    w.u64(state.since_audit);
-    w.boolean(state.retrain_requested);
-    w.boolean(state.predictor.has_value());
-    if (state.predictor) state.predictor->save_state(w);
-
-    // Prediction records: timestamps are near-consecutive (delta-of-delta),
-    // predictions/observations are slowly varying doubles (XOR), labels are
-    // tiny (uvarint) — interleaved per record in one bit stream.
-    const auto records = shard.predictions.all_records(key);
-    w.u64(records.size());
-    block.clear();
-    persist::codec::DodEncoder ts_enc;
-    persist::codec::XorState predicted_state;
-    persist::codec::XorState observed_state;
-    for (const auto& [ts, record] : records) {
-      ts_enc.put(block, static_cast<std::int64_t>(ts));
-      persist::codec::XorEncoder::put(block, predicted_state,
-                                      record.predicted);
-      block.bit(record.observed.has_value());
-      if (record.observed) {
-        persist::codec::XorEncoder::put(block, observed_state,
-                                        *record.observed);
-      }
-      block.uvarint(record.predictor_label);
-      raw_repr += 8 + 8 + 1 + (record.observed ? 8 : 0) + 8;
-    }
-    {
-      const auto bytes = block.bytes();
-      const std::size_t at = w.size();
-      w.u64(bytes.size());
-      w.bytes(bytes);
-      comp_bytes += w.size() - at;
-    }
+    series.save(w, block, compressed);
   }
 
   const std::uint64_t actual = w.size() - section_start;
   encoded_bytes += actual;
-  raw_bytes += actual - comp_bytes + raw_repr;
+  raw_bytes += actual - compressed.encoded + compressed.raw;
 }
 
 std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
@@ -820,78 +729,27 @@ std::uint64_t PredictionEngine::load_shard(persist::io::Reader& r, Shard& shard,
                        std::memory_order_relaxed);
   shard.erases.store(static_cast<std::size_t>(r.u64()),
                      std::memory_order_relaxed);
-  const auto audits = static_cast<std::size_t>(r.u64());
-  const auto qa_retrains = static_cast<std::size_t>(r.u64());
-  shard.qa->restore_counters(audits, qa_retrains);
-  shard.audits.store(audits, std::memory_order_relaxed);
+  shard.audits.store(static_cast<std::size_t>(r.u64()),
+                     std::memory_order_relaxed);
+  (void)r.u64();  // re-trains ordered, a copy of `retrains` (see save_shard)
   if (payload_version >= 4) {
     shard.codec.load(r);
   }
   const auto series_count =
       static_cast<std::size_t>(r.length(r.u64(), sizeof(std::uint64_t)));
-  std::vector<double> history_scratch;
   for (std::size_t i = 0; i < series_count; ++i) {
-    tsdb::SeriesKey key{r.str(), r.str(), r.str()};
-    SeriesState& state = shard.series[key];
-    if (payload_version >= 4) {
-      const auto samples = static_cast<std::size_t>(r.length(r.u64(), 1));
-      const auto block_bytes =
-          static_cast<std::size_t>(r.length(r.u64(), 1));
-      persist::codec::BlockReader block(r.bytes(block_bytes));
-      history_scratch.clear();
-      (void)persist::codec::decode_f64_block(block, samples, history_scratch);
-      state.history.assign(history_scratch.begin(), history_scratch.end());
-    } else {
-      const auto samples =
-          static_cast<std::size_t>(r.length(r.u64(), sizeof(double)));
-      for (std::size_t j = 0; j < samples; ++j) {
-        state.history.push_back(r.f64());
-      }
+    const auto [it, inserted] =
+        shard.series.try_emplace(tsdb::SeriesKey{r.str(), r.str(), r.str()});
+    if (!inserted) {
+      throw persist::CorruptData("engine snapshot: series " +
+                                 it->first.to_string() + " listed twice");
     }
-    state.next_ts = static_cast<Timestamp>(r.i64());
-    state.since_audit = static_cast<std::size_t>(r.u64());
-    state.retrain_requested = r.boolean();
-    if (r.boolean()) {
-      state.predictor.emplace(pool_prototype_.clone(), config_.lar);
-      state.predictor->load_state(r);
-    }
-    if (payload_version >= 4) {
-      const auto records = static_cast<std::size_t>(r.length(r.u64(), 1));
-      const auto block_bytes =
-          static_cast<std::size_t>(r.length(r.u64(), 1));
-      persist::codec::BlockReader block(r.bytes(block_bytes));
-      persist::codec::DodDecoder ts_dec;
-      persist::codec::XorState predicted_state;
-      persist::codec::XorState observed_state;
-      for (std::size_t j = 0; j < records; ++j) {
-        const auto ts = static_cast<Timestamp>(ts_dec.get(block));
-        tsdb::PredictionRecord record;
-        record.predicted =
-            persist::codec::XorDecoder::get(block, predicted_state);
-        if (block.bit()) {
-          record.observed =
-              persist::codec::XorDecoder::get(block, observed_state);
-        }
-        record.predictor_label = static_cast<std::size_t>(block.uvarint());
-        shard.predictions.restore_record(key, ts, record);
-      }
-    } else {
-      const auto records =
-          static_cast<std::size_t>(r.length(r.u64(), sizeof(std::uint64_t)));
-      for (std::size_t j = 0; j < records; ++j) {
-        const auto ts = static_cast<Timestamp>(r.i64());
-        tsdb::PredictionRecord record;
-        record.predicted = r.f64();
-        if (r.boolean()) record.observed = r.f64();
-        record.predictor_label = static_cast<std::size_t>(r.u64());
-        shard.predictions.restore_record(key, ts, record);
-      }
-    }
+    it->second.load(r, payload_version, lifecycle_);
   }
   // Re-seed the lock-free stats() mirrors from the restored series map.
   std::size_t trained = 0;
-  for (const auto& [key, state] : shard.series) {
-    if (state.predictor) ++trained;
+  for (const auto& [key, series] : shard.series) {
+    if (series.trained()) ++trained;
   }
   shard.series_count.store(shard.series.size(), std::memory_order_relaxed);
   shard.trained_count.store(trained, std::memory_order_relaxed);
@@ -1156,7 +1014,7 @@ bool PredictionEngine::is_trained(const tsdb::SeriesKey& key) const {
   const Shard& shard = shard_of(key);
   std::lock_guard lock(shard.mutex);
   const auto it = shard.series.find(key);
-  return it != shard.series.end() && it->second.predictor.has_value();
+  return it != shard.series.end() && it->second.trained();
 }
 
 EngineStats PredictionEngine::stats() const {

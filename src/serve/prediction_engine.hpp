@@ -3,17 +3,22 @@
 //
 // Architecture:
 //   * series are hash-partitioned into shards; each shard owns its series
-//     map, a tsdb::PredictionDatabase, and a qa::QualityAssuror, all guarded
-//     by one shard mutex — so two series in different shards never contend;
+//     map, one SeriesLifecycle per series, guarded by one shard mutex — so
+//     two series in different shards never contend;
 //   * observe(batch) / predict(batch) group the batch by shard and fan the
 //     per-shard work out with a fork-join ThreadPool::parallel_for, taking
 //     each shard's mutex exactly once per batch;
-//   * per-series lifecycle is lazy: a series trains itself after
-//     EngineConfig::train_samples observations, and the Quality Assuror's
-//     audit (every audit_every observations) can order a re-train from the
-//     series' retained raw history (§3.2 of the paper, scaled out);
-//   * aggregate accuracy (resolved-forecast MAE/MSE) and latency counters
-//     are maintained per shard / atomically and snapshot by stats().
+//   * the per-series lifecycle lives in serve/series_lifecycle.hpp, which
+//     holds no lock, log or thread: a series trains itself after
+//     EngineConfig::train_samples observations, keeps its newest
+//     quality.audit_window resolved forecasts plus the pending one, and the
+//     Quality Assuror's rule (every audit_every observations) can order a
+//     re-train from the series' retained raw history (§3.2 of the paper,
+//     scaled out).  The engine adds sharding, locking, the WAL, the payload
+//     prefix, fan-out and replication around it;
+//   * aggregate accuracy (resolved-forecast MAE/MSE), QA and latency
+//     counters are maintained per shard / atomically and snapshot by
+//     stats().
 //
 // Locking contract: LarPredictor is not internally synchronized (see
 // core/lar_predictor.hpp); every touch of a predictor happens under its
@@ -26,7 +31,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -40,9 +44,8 @@
 #include "persist/io.hpp"
 #include "persist/wal.hpp"
 #include "persist/wal_syncer.hpp"
-#include "qa/quality_assuror.hpp"
+#include "serve/series_lifecycle.hpp"
 #include "serve/wal_codec.hpp"
-#include "tsdb/prediction_db.hpp"
 #include "util/thread_pool.hpp"
 
 namespace larp::serve {
@@ -66,7 +69,7 @@ struct DurabilityConfig {
 /// replicate_frames() — local observe()/erase() throw StateError — so its
 /// WAL is a byte-for-byte copy of the leader's and its per-shard positions
 /// are directly comparable to the leader's.  Follower predict() runs the
-/// read-only peek path (no prediction-DB record, no WAL frame) gated by
+/// read-only peek path (no kept forecast, no WAL frame) gated by
 /// max_staleness.
 enum class EngineRole : std::uint8_t { kLeader, kFollower };
 
@@ -167,7 +170,8 @@ struct EngineStats {
 class PredictionEngine {
  public:
   /// Takes the expert-pool prototype every series' predictor clones.
-  /// Throws InvalidArgument for zero shards or an empty pool.
+  /// Throws InvalidArgument for zero shards, an empty pool, too few
+  /// train_samples, or a QaConfig qa::validate() refuses.
   PredictionEngine(predictors::PredictorPool pool_prototype,
                    EngineConfig config);
 
@@ -203,12 +207,13 @@ class PredictionEngine {
   /// Absorbs a batch of raw samples, fanned across shards.  Per series (in
   /// batch order): resolve the pending forecast, feed the predictor (or
   /// train it once train_samples have accumulated), and audit on cadence.
+  /// A batch holding a NaN or infinite value throws InvalidArgument before
+  /// anything is logged or applied.
   void observe(std::span<const Observation> batch);
   void observe(const tsdb::SeriesKey& key, double value);
 
-  /// One forecast per requested key, in request order.  Forecasts are
-  /// recorded in the shard's prediction DB and resolved by the series' next
-  /// observation.
+  /// One forecast per requested key, in request order.  A series keeps its
+  /// first forecast of a step until its next observation resolves it.
   [[nodiscard]] std::vector<Prediction> predict(
       std::span<const tsdb::SeriesKey> keys);
   [[nodiscard]] Prediction predict(const tsdb::SeriesKey& key);
@@ -219,8 +224,8 @@ class PredictionEngine {
   void predict_into(std::span<const tsdb::SeriesKey> keys,
                     std::vector<Prediction>& out);
 
-  /// Tears down one series: its state, predictor, and prediction-DB stream
-  /// are dropped (and the teardown is WAL-logged when durability is on).
+  /// Tears down one series: its state, predictor and kept forecasts are
+  /// dropped (and the teardown is WAL-logged when durability is on).
   /// Returns false when the key was never observed.
   bool erase(const tsdb::SeriesKey& key);
 
@@ -302,14 +307,6 @@ class PredictionEngine {
   void set_replication_floor(std::span<const std::uint64_t> positions);
 
  private:
-  struct SeriesState {
-    std::deque<double> history;  // recent raw samples, capacity-bounded
-    std::optional<core::LarPredictor> predictor;
-    Timestamp next_ts = 0;  // logical clock: index of the next sample
-    std::size_t since_audit = 0;
-    bool retrain_requested = false;
-  };
-
   // Cache-line aligned so that when shards sit adjacently in memory, one
   // shard's mutex and hot counters never share a line with a neighbour's —
   // batched observe/predict takes the shard mutexes from different worker
@@ -322,9 +319,7 @@ class PredictionEngine {
   // the serving hot path.
   struct alignas(64) Shard {
     mutable std::mutex mutex;
-    std::unordered_map<tsdb::SeriesKey, SeriesState> series;
-    tsdb::PredictionDatabase predictions;
-    std::optional<qa::QualityAssuror> qa;
+    std::unordered_map<tsdb::SeriesKey, SeriesLifecycle> series;
     // Aggregate accuracy over resolved forecasts (raw units).
     std::atomic<std::size_t> resolved{0};
     std::atomic<double> abs_error_sum{0.0};
@@ -332,6 +327,7 @@ class PredictionEngine {
     std::atomic<std::size_t> trains{0};
     std::atomic<std::size_t> retrains{0};
     std::atomic<std::size_t> erases{0};
+    // Audits that had min_records to judge.
     std::atomic<std::size_t> audits{0};
     // series.size() / predictor-count mirrors, so stats() needs no lock.
     std::atomic<std::size_t> series_count{0};
@@ -374,17 +370,16 @@ class PredictionEngine {
   void predict_shard(Shard& shard, std::span<const tsdb::SeriesKey> keys,
                      std::span<const std::size_t> indices,
                      std::vector<Prediction>& out);
+  /// Runs one observation of the series (created on first sight) and folds
+  /// its outcome into the shard counters.
   void absorb(Shard& shard, const tsdb::SeriesKey& key, double value);
   [[nodiscard]] Prediction forecast(Shard& shard, const tsdb::SeriesKey& key);
-  /// Read-only forecast (LarPredictor::peek_next): no prediction-DB record,
-  /// no pending-forecast update — the follower read path.
+  /// Read-only forecast (SeriesLifecycle::peek) — the follower read path.
   [[nodiscard]] Prediction peek_forecast(Shard& shard,
                                          const tsdb::SeriesKey& key);
   /// Throws StaleRead when a bounded follower has not been caught up within
   /// max_staleness; no-op on leaders and unbounded followers.
   void check_freshness() const;
-  void train_series(Shard& shard, const tsdb::SeriesKey& key,
-                    SeriesState& state, bool is_retrain);
   bool erase_locked(Shard& shard, const tsdb::SeriesKey& key);
   /// Appends a one-op erase block to the shard's log.  Must run under the
   /// shard mutex, BEFORE the erase it describes.
@@ -432,6 +427,8 @@ class PredictionEngine {
 
   predictors::PredictorPool pool_prototype_;
   EngineConfig config_;
+  /// What every series reads of config_, and pool_prototype_.
+  LifecycleConfig lifecycle_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ThreadPool pool_;
 

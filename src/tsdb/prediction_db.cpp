@@ -102,23 +102,4 @@ void PredictionDatabase::erase_stream(const SeriesKey& key) {
   streams_.erase(key);
 }
 
-std::vector<std::pair<Timestamp, PredictionRecord>>
-PredictionDatabase::all_records(const SeriesKey& key) const {
-  std::vector<std::pair<Timestamp, PredictionRecord>> out;
-  const auto stream_it = streams_.find(key);
-  if (stream_it == streams_.end()) return out;
-  out.assign(stream_it->second.begin(), stream_it->second.end());
-  return out;
-}
-
-void PredictionDatabase::restore_record(const SeriesKey& key, Timestamp ts,
-                                        const PredictionRecord& record) {
-  auto& stream = streams_[key];
-  const auto [it, inserted] = stream.emplace(ts, record);
-  if (!inserted) {
-    throw InvalidArgument("PredictionDatabase: restore over existing record " +
-                          key.to_string() + " @" + std::to_string(ts));
-  }
-}
-
 }  // namespace larp::tsdb

@@ -65,17 +65,6 @@ class PredictionDatabase {
   /// Removes every record of a stream (stream teardown).
   void erase_stream(const SeriesKey& key);
 
-  /// All records of a stream (resolved or not), time-ordered — the
-  /// durability layer serializes streams through this view.
-  [[nodiscard]] std::vector<std::pair<Timestamp, PredictionRecord>> all_records(
-      const SeriesKey& key) const;
-
-  /// Reinserts a record verbatim (snapshot restore); unlike
-  /// record_prediction() the record may already be resolved.  Throws
-  /// InvalidArgument when the primary key already exists.
-  void restore_record(const SeriesKey& key, Timestamp ts,
-                      const PredictionRecord& record);
-
  private:
   // Ordered map per stream gives cheap range queries by timestamp.
   std::map<SeriesKey, std::map<Timestamp, PredictionRecord>> streams_;

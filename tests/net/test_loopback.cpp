@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,6 +188,80 @@ TEST_F(LoopbackTest, ValidFrameBadPayloadGetsBadRequest) {
   (void)decode_header(r);
   EXPECT_EQ(decode_error(r).code, ErrorCode::kBadRequest);
   EXPECT_TRUE(client.eof());
+}
+
+// A NaN is the client's bad request, not a server fault: nothing of the
+// request applies, and the connection keeps serving.  A good request
+// pipelined before it still applies.
+TEST_F(LoopbackTest, NonFiniteObservationGetsBadRequest) {
+  Client client = connect();
+  const std::vector<serve::Observation> bad = {
+      {key_of(0), 1.0}, {key_of(1), std::numeric_limits<double>::quiet_NaN()}};
+  try {
+    (void)client.observe(bad);
+    FAIL() << "an observe batch holding a NaN was acknowledged";
+  } catch (const ServerError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadRequest);
+  }
+  EXPECT_EQ(engine_->stats().observations, 0u);
+  const std::vector<serve::Observation> good = {{key_of(0), 1.0}};
+  EXPECT_EQ(client.observe(good), 1u);
+  EXPECT_EQ(engine_->stats().observations, 1u);
+
+  // Pipelined, the good request is decoded into the same run as the bad
+  // one; only the bad one is refused.
+  persist::io::Writer body;
+  std::vector<std::byte> burst;
+  encode_observe_request(body, 101, good);
+  append_frame(burst, body.bytes());
+  encode_observe_request(body, 102, bad);
+  append_frame(burst, body.bytes());
+  client.send_raw(burst);
+  std::vector<std::byte> reply;
+  const FrameHeader ack = client.read_reply(reply);
+  EXPECT_EQ(ack.type, MsgType::kObserveAck);
+  EXPECT_EQ(ack.id, 101u);
+  const FrameHeader refused = client.read_reply(reply);
+  ASSERT_EQ(refused.type, MsgType::kError);
+  EXPECT_EQ(refused.id, 102u);
+  persist::io::Reader r(reply);
+  (void)decode_header(r);
+  EXPECT_EQ(decode_error(r).code, ErrorCode::kBadRequest);
+  EXPECT_EQ(engine_->stats().observations, 2u);
+}
+
+// An engine failure part-way through a coalesced run (here a training whose
+// finite samples overflow) is a server fault: every request of the run gets
+// kInternal, and none of it is applied a second time.
+TEST_F(LoopbackTest, MidApplyFailureGetsInternalAndAppliesOnce) {
+  Client client = connect();
+  std::vector<serve::Observation> accumulate(11);
+  for (std::size_t i = 0; i < accumulate.size(); ++i) {
+    accumulate[i] = {key_of(0), i < 2 ? 1e308 : 50.0 + static_cast<double>(i)};
+  }
+  EXPECT_EQ(client.observe(accumulate), accumulate.size());
+
+  // The 12th sample completes the training window, whose fit then throws.
+  const std::vector<serve::Observation> completes = {{key_of(0), 50.0}};
+  const std::vector<serve::Observation> other = {{key_of(1), 50.0}};
+  persist::io::Writer body;
+  std::vector<std::byte> burst;
+  encode_observe_request(body, 201, completes);
+  append_frame(burst, body.bytes());
+  encode_observe_request(body, 202, other);
+  append_frame(burst, body.bytes());
+  client.send_raw(burst);
+  std::vector<std::byte> reply;
+  const FrameHeader failed = client.read_reply(reply);
+  ASSERT_EQ(failed.type, MsgType::kError);
+  EXPECT_EQ(failed.id, 201u);
+  persist::io::Reader r(reply);
+  (void)decode_header(r);
+  EXPECT_EQ(decode_error(r).code, ErrorCode::kInternal);
+  EXPECT_EQ(client.read_reply(reply).id, 202u);
+  EXPECT_EQ(engine_->stats().observations, accumulate.size() + 2);
+  EXPECT_FALSE(engine_->is_trained(key_of(0)));
+  client.ping();  // the connection keeps serving
 }
 
 TEST_F(LoopbackTest, UnknownMessageTypeGetsBadRequest) {

@@ -52,7 +52,8 @@ class WalTest : public ::testing::Test {
 
   static std::vector<std::byte> payload(const std::string& s) {
     std::vector<std::byte> out(s.size());
-    std::memcpy(out.data(), s.data(), s.size());
+    // An empty vector's data() may be null, which memcpy must not receive.
+    if (!s.empty()) std::memcpy(out.data(), s.data(), s.size());
     return out;
   }
 

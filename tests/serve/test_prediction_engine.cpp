@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -50,6 +52,19 @@ TEST(PredictionEngine, ValidatesConstruction) {
   auto tiny_train = small_config(1);
   tiny_train.train_samples = tiny_train.lar.window + 1;
   EXPECT_THROW(PredictionEngine(predictors::make_paper_pool(5), tiny_train),
+               InvalidArgument);
+  // The QA settings, which a restore reads from the snapshot.
+  auto no_threshold = small_config(1);
+  no_threshold.quality.mse_threshold = 0.0;
+  EXPECT_THROW(PredictionEngine(predictors::make_paper_pool(5), no_threshold),
+               InvalidArgument);
+  auto no_window = small_config(1);
+  no_window.quality.audit_window = 0;
+  EXPECT_THROW(PredictionEngine(predictors::make_paper_pool(5), no_window),
+               InvalidArgument);
+  auto no_min_records = small_config(1);
+  no_min_records.quality.min_records = 0;
+  EXPECT_THROW(PredictionEngine(predictors::make_paper_pool(5), no_min_records),
                InvalidArgument);
 }
 
@@ -245,6 +260,88 @@ TEST(PredictionEngine, ConcurrentCallersMatchSingleThreadedEngines) {
     }
     EXPECT_EQ(ready, kSeries * (kSteps - config.train_samples));
   }
+}
+
+// A NaN or infinite value is refused before anything of its batch is logged
+// or applied, so a series still accumulating is not poisoned, a trained
+// series' error totals stay finite, the co-batched series trains on time,
+// and a restore of the log reaches the live engine's state.
+TEST(PredictionEngine, NonFiniteObservationsAreRefusedBeforeTheyAreLogged) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "larp_engine_non_finite_observations";
+  fs::remove_all(dir);
+  auto config = small_config(1, /*shards=*/1);
+  config.train_samples = 20;
+  config.durability.data_dir = dir;
+  const std::vector<tsdb::SeriesKey> keys = {key_of(0), key_of(1)};
+  const auto a = ar1_series(40, 1);
+  const auto b = ar1_series(40, 2);
+  const auto step = [&](PredictionEngine& engine, std::size_t i) {
+    const std::vector<Observation> batch = {{keys[0], a[i]}, {keys[1], b[i]}};
+    engine.observe(batch);
+  };
+  const auto refuse = [&](PredictionEngine& engine, std::size_t i) {
+    const auto positions = engine.wal_positions();
+    const auto observations = engine.stats().observations;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      // The valid op leads, so a refusal that came after staging would show.
+      const std::vector<Observation> batch = {{keys[1], b[i]}, {keys[0], bad}};
+      EXPECT_THROW(engine.observe(batch), InvalidArgument);
+    }
+    EXPECT_EQ(engine.wal_positions(), positions);
+    EXPECT_EQ(engine.stats().observations, observations);
+  };
+
+  std::vector<std::uint64_t> live_positions;
+  EngineStats live;
+  {
+    PredictionEngine engine(predictors::make_paper_pool(5), config);
+    for (std::size_t i = 0; i < 10; ++i) step(engine, i);
+    refuse(engine, 10);  // both series still accumulating
+    for (std::size_t i = 10; i < 20; ++i) step(engine, i);
+    EXPECT_TRUE(engine.is_trained(keys[0]));
+    EXPECT_TRUE(engine.is_trained(keys[1]));
+    for (std::size_t i = 20; i < 30; ++i) {
+      (void)engine.predict(keys);
+      refuse(engine, i);  // both trained, each with a forecast pending
+      step(engine, i);
+    }
+    live = engine.stats();
+    EXPECT_EQ(live.resolved, 20u);
+    EXPECT_TRUE(std::isfinite(live.mean_absolute_error));
+    EXPECT_TRUE(std::isfinite(live.mean_squared_error));
+    live_positions = engine.wal_positions();
+  }
+
+  auto restored =
+      PredictionEngine::restore(predictors::make_paper_pool(5), dir, config);
+  EXPECT_EQ(restored->wal_positions(), live_positions);
+  const auto stats = restored->stats();
+  EXPECT_EQ(stats.observations, live.observations);
+  EXPECT_EQ(stats.trains, 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.mean_squared_error),
+            std::bit_cast<std::uint64_t>(live.mean_squared_error));
+  // It forecasts like an engine that never saw the refused values.
+  auto clean = config;
+  clean.durability = DurabilityConfig{};
+  PredictionEngine reference(predictors::make_paper_pool(5), clean);
+  for (std::size_t i = 0; i < 20; ++i) step(reference, i);
+  for (std::size_t i = 20; i < 30; ++i) {
+    (void)reference.predict(keys);
+    step(reference, i);
+  }
+  const auto got = restored->predict(keys);
+  const auto want = reference.predict(keys);
+  for (std::size_t s = 0; s < keys.size(); ++s) {
+    ASSERT_TRUE(got[s].ready);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s].value),
+              std::bit_cast<std::uint64_t>(want[s].value));
+  }
+  restored.reset();
+  fs::remove_all(dir);
 }
 
 TEST(PredictionEngine, PredictUnknownSeriesIsNotReady) {
