@@ -168,7 +168,6 @@ struct NetPoint {
   std::size_t threads = 0;
   std::size_t connections = 0;
   double rate = 0.0;  // series-steps/s over the full wire path
-  bool reuseport = false;
   double loop_busy_min = 0.0;  // busiest/idlest loop, fraction of elapsed
   double loop_busy_max = 0.0;
   std::uint64_t contended_locks = 0;
@@ -255,7 +254,6 @@ NetPoint net_throughput(std::size_t server_threads, std::size_t connections,
   point.connections = connections;
   point.rate = static_cast<double>(per_conn * connections) *
                static_cast<double>(steps) / elapsed;
-  point.reuseport = server.stats().reuseport;
   point.loop_busy_min = 1.0;
   for (const auto& loop : server.loop_stats()) {
     const double busy = wall > 0.0 ? loop.busy_seconds / wall : 0.0;
@@ -277,8 +275,8 @@ std::vector<NetPoint> bench_net_scaling(bool quick) {
   std::printf("\nloopback server throughput (%zu series, %zu steps/config, "
               "pipelined connections)\n",
               series, steps);
-  std::printf("%8s %6s %16s %8s %10s %12s %11s\n", "threads", "conns",
-              "series-steps/s", "scaling", "accept", "loop busy", "lock wait");
+  std::printf("%8s %6s %16s %8s %12s %11s\n", "threads", "conns",
+              "series-steps/s", "scaling", "loop busy", "lock wait");
   double base = 0.0;
   std::vector<NetPoint> points;
   for (std::size_t threads : thread_counts) {
@@ -286,9 +284,8 @@ std::vector<NetPoint> bench_net_scaling(bool quick) {
       const NetPoint p = net_throughput(threads, conns, series, steps);
       if (base == 0.0) base = p.rate;
       points.push_back(p);
-      std::printf("%8zu %6zu %16.0f %7.2fx %10s %5.0f-%3.0f%% %9.1fms\n",
+      std::printf("%8zu %6zu %16.0f %7.2fx %5.0f-%3.0f%% %9.1fms\n",
                   p.threads, p.connections, p.rate, p.rate / base,
-                  p.reuseport ? "reuseport" : "handoff",
                   100.0 * p.loop_busy_min, 100.0 * p.loop_busy_max,
                   1e3 * p.lock_wait_seconds);
     }
@@ -433,11 +430,10 @@ void write_json(const char* path, const std::vector<ScalingPoint>& scaling,
     // never mistake scheduling pressure for a scaling regression.
     std::fprintf(out,
                  "      {\"threads\": %zu, \"connections\": %zu, "
-                 "\"series_steps_per_sec\": %.0f, \"reuseport\": %s, "
+                 "\"series_steps_per_sec\": %.0f, "
                  "\"loop_busy_min\": %.3f, \"loop_busy_max\": %.3f, "
                  "\"contended_locks\": %llu, \"lock_wait_seconds\": %.6f%s}%s\n",
-                 p.threads, p.connections, p.rate,
-                 p.reuseport ? "true" : "false", p.loop_busy_min,
+                 p.threads, p.connections, p.rate, p.loop_busy_min,
                  p.loop_busy_max,
                  static_cast<unsigned long long>(p.contended_locks),
                  p.lock_wait_seconds,

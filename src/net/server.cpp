@@ -11,7 +11,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -106,6 +105,9 @@ class OutQueue {
 
 constexpr int kFlushIov = 64;
 
+// epoll_wait batch per loop: events drained per syscall.
+constexpr int kEpollEvents = 256;
+
 }  // namespace
 
 struct Server::Conn {
@@ -133,20 +135,16 @@ struct Server::Conn {
   std::vector<serve::Prediction> preds;
   persist::io::Writer reply;
 
-  explicit Conn(Fd socket, std::size_t max_frame_bytes)
-      : fd(std::move(socket)), decoder(max_frame_bytes) {}
+  explicit Conn(Fd socket) : fd(std::move(socket)) {}
 
   [[nodiscard]] std::size_t pending() const noexcept { return out.pending(); }
 };
 
 struct Server::Loop {
   Fd epoll;
-  Fd wake;
-  Fd listener;  // per-loop SO_REUSEPORT listener; invalid in handoff mode
-                // (except loop 0, which owns the single listener)
+  Fd wake;      // stop()'s wake-up
+  Fd listener;  // this loop's SO_REUSEPORT listener
   std::thread thread;
-  std::mutex inbox_mutex;
-  std::vector<int> inbox;  // raw fds handed over by the acceptor loop
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
 
   // Loop-local traffic counters.  Only this loop's thread writes them
@@ -196,10 +194,6 @@ std::uint64_t nanos_since(Clock::time_point start) {
 Server::Server(serve::PredictionEngine& engine, ServerConfig config)
     : engine_(engine), config_(std::move(config)) {
   if (config_.event_threads == 0) config_.event_threads = 1;
-  if (config_.epoll_events == 0) config_.epoll_events = 256;
-  if (config_.max_frame_bytes < kMinBodyBytes) {
-    throw InvalidArgument("net: max_frame_bytes smaller than a header");
-  }
 }
 
 Server::~Server() { stop(); }
@@ -207,22 +201,7 @@ Server::~Server() { stop(); }
 void Server::start() {
   if (!loops_.empty()) throw StateError("net: server already started");
 
-  // Accept-mode resolution.  kAuto probes SO_REUSEPORT by binding the first
-  // listener with it; a kernel that refuses the option falls back to the
-  // single-acceptor handoff design.
-  reuseport_ = config_.accept_mode != AcceptMode::kHandoff;
-  Fd first;
-  if (reuseport_) {
-    try {
-      first = listen_tcp(config_.host, config_.port, 128, /*reuse_port=*/true);
-    } catch (const NetError&) {
-      if (config_.accept_mode == AcceptMode::kReusePort) throw;
-      reuseport_ = false;
-    }
-  }
-  if (!first.valid()) {
-    first = listen_tcp(config_.host, config_.port);
-  }
+  Fd first = listen_tcp(config_.host, config_.port, 128, /*reuse_port=*/true);
   // Ephemeral-port case: the remaining listeners must bind the port the
   // kernel actually picked for the first one.
   const std::uint16_t bound = local_port(first);
@@ -243,19 +222,13 @@ void Server::start() {
     // epoll_wait and the drain must not be lost.
     epoll_ctl_or_throw(loop->epoll.get(), EPOLL_CTL_ADD, loop->wake.get(),
                        EPOLLIN, &loop->wake);
-    if (i == 0) {
-      loop->listener = std::move(first);
-    } else if (reuseport_) {
-      loop->listener = listen_tcp(config_.host, bound, 128,
-                                  /*reuse_port=*/true);
-    }
-    if (loop->listener.valid()) {
-      // Edge-triggered: accept_ready() drains until EAGAIN, so one wakeup
-      // covers a whole burst of connections.
-      epoll_ctl_or_throw(loop->epoll.get(), EPOLL_CTL_ADD,
-                         loop->listener.get(), EPOLLIN | EPOLLET,
-                         &loop->listener);
-    }
+    loop->listener = i == 0 ? std::move(first)
+                            : listen_tcp(config_.host, bound, 128,
+                                         /*reuse_port=*/true);
+    // Edge-triggered: accept_ready() drains until EAGAIN, so one wakeup
+    // covers a whole burst of connections.
+    epoll_ctl_or_throw(loop->epoll.get(), EPOLL_CTL_ADD, loop->listener.get(),
+                       EPOLLIN | EPOLLET, &loop->listener);
     loops_.push_back(std::move(loop));
   }
   running_.store(true, std::memory_order_release);
@@ -275,9 +248,6 @@ void Server::stop() {
   for (auto& loop : loops_) {
     loop->closed.fetch_add(loop->conns.size(), std::memory_order_relaxed);
     loop->conns.clear();
-    // Orphans handed off but never adopted still own raw fds.
-    for (int fd : loop->inbox) ::close(fd);
-    loop->inbox.clear();
   }
   final_stats_ = stats();
   final_loop_stats_ = loop_stats();
@@ -285,7 +255,7 @@ void Server::stop() {
 }
 
 std::uint16_t Server::port() const {
-  if (loops_.empty() || !loops_[0]->listener.valid()) {
+  if (loops_.empty()) {
     throw StateError("net: server not started");
   }
   return local_port(loops_[0]->listener);
@@ -304,7 +274,6 @@ ServerStats Server::stats() const {
     s.observe_batches += loop->observe_batches.load(std::memory_order_relaxed);
     s.predict_batches += loop->predict_batches.load(std::memory_order_relaxed);
   }
-  s.reuseport = reuseport_;
   return s;
 }
 
@@ -327,7 +296,7 @@ std::vector<LoopStats> Server::loop_stats() const {
 }
 
 void Server::run_loop(Loop& loop) {
-  std::vector<epoll_event> events(config_.epoll_events);
+  std::vector<epoll_event> events(kEpollEvents);
   while (running_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(loop.epoll.get(), events.data(),
                                static_cast<int>(events.size()), -1);
@@ -343,7 +312,6 @@ void Server::run_loop(Loop& loop) {
         std::uint64_t drain = 0;
         while (::read(loop.wake.get(), &drain, sizeof(drain)) > 0) {
         }
-        adopt_inbox(loop);
         continue;
       }
       if (tag == &loop.listener) {
@@ -386,41 +354,14 @@ void Server::accept_ready(Loop& loop) {
     } catch (const NetError&) {
       continue;  // peer vanished between accept and setsockopt
     }
-    if (reuseport_ || loops_.size() == 1) {
-      loop.accepted.fetch_add(1, std::memory_order_relaxed);
-      add_conn(loop, std::move(socket));
-      continue;
-    }
-    // Handoff fallback: this loop (0) owns the only listener; spread the
-    // connection round-robin and wake the target's eventfd.
-    const std::size_t target =
-        next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-    Loop& owner = *loops_[target];
-    owner.accepted.fetch_add(1, std::memory_order_relaxed);
-    if (target == 0) {
-      add_conn(owner, std::move(socket));
-    } else {
-      {
-        const std::lock_guard<std::mutex> lock(owner.inbox_mutex);
-        owner.inbox.push_back(socket.release());
-      }
-      wake_loop(owner.wake);
-    }
+    loop.accepted.fetch_add(1, std::memory_order_relaxed);
+    add_conn(loop, std::move(socket));
   }
-}
-
-void Server::adopt_inbox(Loop& loop) {
-  std::vector<int> fds;
-  {
-    const std::lock_guard<std::mutex> lock(loop.inbox_mutex);
-    fds.swap(loop.inbox);
-  }
-  for (int fd : fds) add_conn(loop, Fd(fd));
 }
 
 void Server::add_conn(Loop& loop, Fd fd) {
   const int raw = fd.get();
-  auto conn = std::make_unique<Conn>(std::move(fd), config_.max_frame_bytes);
+  auto conn = std::make_unique<Conn>(std::move(fd));
   // One registration for the connection's whole life: both directions,
   // edge-triggered.  EPOLL_CTL_ADD reports the current readiness as the
   // first edge, so a socket that arrived with data (or, always, with write

@@ -2,15 +2,12 @@
 // port.
 //
 // Threading model: N event-loop threads, each with its own epoll instance.
-// With AcceptMode::kReusePort (the default where the kernel supports it)
-// every loop owns its OWN listening socket bound with SO_REUSEPORT, accepts
+// Every loop owns its OWN listening socket bound with SO_REUSEPORT, accepts
 // directly, and keeps the connection for its whole life — no cross-thread
 // handoff, no wake round-trip, and the kernel load-balances new connections
-// across the loops.  AcceptMode::kHandoff keeps the older design as the
-// fallback: loop 0 owns the single listener and hands accepted sockets to
-// loops round-robin through a per-loop inbox + eventfd wake.  Either way a
-// connection lives on exactly one loop, so all its state is single-threaded
-// by construction.
+// across the loops.  A connection lives on exactly one loop, so all its
+// state is single-threaded by construction.  Each loop's eventfd exists only
+// so stop() can wake it.
 //
 // Edge-triggered epoll: connections are registered once with
 // EPOLLIN|EPOLLOUT|EPOLLRDHUP|EPOLLET and never re-armed via epoll_ctl.
@@ -58,32 +55,15 @@
 
 namespace larp::net {
 
-/// How accepted connections reach their event loop.
-enum class AcceptMode : std::uint8_t {
-  /// Try per-loop SO_REUSEPORT listeners; fall back to kHandoff if the
-  /// kernel refuses the option.
-  kAuto,
-  /// Per-loop listeners, required: start() throws where unsupported.
-  kReusePort,
-  /// Single acceptor on loop 0 + eventfd inbox handoff (the pre-reuseport
-  /// design, kept for kernels without SO_REUSEPORT).
-  kHandoff,
-};
-
 struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; read the real one back with port().
   std::uint16_t port = 0;
-  /// Event-loop threads.  0 means one.
+  /// Event-loop threads, each with its own SO_REUSEPORT listener.  0 means
+  /// one.
   std::size_t event_threads = 1;
-  AcceptMode accept_mode = AcceptMode::kAuto;
-  std::size_t max_frame_bytes = kMaxFrameBytes;
   /// Pending-output cap per connection before reads pause.
   std::size_t write_backpressure_bytes = 1u << 20;
-  /// epoll_wait batch size per loop (events drained per syscall).  Size it
-  /// near the expected connections per loop; too small costs extra
-  /// epoll_wait calls under fan-in.  0 means the 256 default.
-  std::size_t epoll_events = 256;
 };
 
 struct ServerStats {
@@ -96,9 +76,6 @@ struct ServerStats {
   /// realized batching factor.
   std::uint64_t observe_batches = 0;
   std::uint64_t predict_batches = 0;
-  /// True when the running server accepts on per-loop SO_REUSEPORT
-  /// listeners (false = single-acceptor handoff fallback).
-  bool reuseport = false;
 };
 
 /// Per-event-loop counters (stats() aggregates them; loop_stats() exposes
@@ -138,7 +115,6 @@ class Server {
 
   void run_loop(Loop& loop);
   void accept_ready(Loop& loop);
-  void adopt_inbox(Loop& loop);
   void add_conn(Loop& loop, Fd fd);
   void close_conn(Loop& loop, Conn& conn);
   /// Drives a connection until neither direction can make progress:
@@ -155,10 +131,8 @@ class Server {
 
   serve::PredictionEngine& engine_;
   ServerConfig config_;
-  bool reuseport_ = false;  // realized accept mode (valid after start())
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<bool> running_{false};
-  std::atomic<std::size_t> next_loop_{0};
   // Folded at stop() so counters stay readable after the loops are gone.
   ServerStats final_stats_;
   std::vector<LoopStats> final_loop_stats_;

@@ -256,10 +256,15 @@ void publish_file_pieces(const std::filesystem::path& path,
     for (const auto piece : pieces) file.append(piece);
     file.sync();
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    raise_errno("publish_file: rename failed for", path);
+  rename_durably(tmp, path);
+}
+
+void rename_durably(const std::filesystem::path& from,
+                    const std::filesystem::path& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    raise_errno("rename_durably: rename failed for", to);
   }
-  sync_directory(path.parent_path());
+  sync_directory(to.parent_path());
 }
 
 void sync_directory(const std::filesystem::path& dir) {

@@ -164,6 +164,12 @@ void publish_file(const std::filesystem::path& path,
 void publish_file_pieces(const std::filesystem::path& path,
                          std::span<const std::span<const std::byte>> pieces);
 
+/// Renames `from` over `to` and fsyncs the parent directory, so the rename
+/// survives a crash: publish_file()'s last two steps, for a caller that
+/// wrote and fsynced `from` itself.
+void rename_durably(const std::filesystem::path& from,
+                    const std::filesystem::path& to);
+
 /// fsyncs a directory so previously renamed/created entries are durable.
 void sync_directory(const std::filesystem::path& dir);
 

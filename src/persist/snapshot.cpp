@@ -22,6 +22,8 @@ constexpr std::size_t kFooterBytes = 4;              // masked crc32c
 constexpr std::string_view kSnapshotPrefix = "snapshot-";
 constexpr std::string_view kSnapshotSuffix = ".snap";
 
+}  // namespace
+
 std::filesystem::path snapshot_path(const std::filesystem::path& dir,
                                     std::uint64_t epoch) {
   char name[48];
@@ -29,8 +31,6 @@ std::filesystem::path snapshot_path(const std::filesystem::path& dir,
                 static_cast<unsigned long long>(epoch));
   return dir / name;
 }
-
-}  // namespace
 
 std::filesystem::path publish_snapshot(const std::filesystem::path& dir,
                                        std::uint64_t epoch,
@@ -161,6 +161,59 @@ void retain_snapshots(const std::filesystem::path& dir, std::size_t keep) {
     std::error_code ec;
     std::filesystem::remove(path, ec);
   }
+}
+
+SnapshotReceiver::SnapshotReceiver(std::filesystem::path dir)
+    : dir_(std::move(dir)) {}
+
+SnapshotReceiver::~SnapshotReceiver() { abandon(); }
+
+bool SnapshotReceiver::add(std::uint64_t epoch, std::uint64_t total_bytes,
+                           std::uint64_t offset,
+                           std::span<const std::byte> data, bool last) {
+  try {
+    if (offset == 0) {
+      abandon();
+      ensure_directory(dir_);
+      epoch_ = epoch;
+      total_bytes_ = total_bytes;
+      received_ = 0;
+      tmp_ = snapshot_path(dir_, epoch).string() + ".tmp";
+      // O_APPEND over a fresh file: an orphan of a crashed transfer goes.
+      std::error_code ec;
+      std::filesystem::remove(tmp_, ec);
+      file_.open(tmp_);
+    }
+    if (tmp_.empty() || epoch != epoch_ || total_bytes != total_bytes_ ||
+        offset != received_ || data.size() > total_bytes_ - received_) {
+      throw CorruptData("snapshot transfer: chunk does not continue the file");
+    }
+    file_.append(data);
+    received_ += data.size();
+    if (!last) return false;
+    if (received_ != total_bytes_) {
+      throw CorruptData("snapshot transfer: last chunk leaves the file short");
+    }
+    file_.sync();
+    file_.close();
+    if (load_snapshot(tmp_).epoch != epoch_) {
+      throw CorruptData("snapshot transfer: file holds another epoch");
+    }
+    rename_durably(tmp_, snapshot_path(dir_, epoch_));
+    tmp_.clear();
+    return true;
+  } catch (...) {
+    abandon();
+    throw;
+  }
+}
+
+void SnapshotReceiver::abandon() noexcept {
+  file_.close();
+  if (tmp_.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove(tmp_, ec);
+  tmp_.clear();
 }
 
 }  // namespace larp::persist

@@ -23,6 +23,11 @@
 //
 // Naming: snapshot-<epoch, 20 digits>.snap in the snapshot directory, so a
 // lexicographic directory sort is also an epoch sort.
+//
+// Shipping: a replication leader sends a published file's bytes from its
+// validated mapping (load_snapshot), and the follower's SnapshotReceiver
+// writes them to a temp file and publishes it only once load_snapshot
+// accepts the whole file.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +58,10 @@ struct LoadedSnapshot {
   MappedFile file;
 };
 
+/// The file name of snapshot epoch `epoch` in `dir`.
+[[nodiscard]] std::filesystem::path snapshot_path(
+    const std::filesystem::path& dir, std::uint64_t epoch);
+
 /// Atomically publishes `payload` as snapshot epoch `epoch` in `dir`
 /// (created if absent).  Returns the published path.
 std::filesystem::path publish_snapshot(const std::filesystem::path& dir,
@@ -82,5 +91,43 @@ std::filesystem::path publish_snapshot_pieces(
 /// Deletes the oldest snapshots beyond the newest `keep` (keep >= 1).
 /// Corrupt files do not count toward the retained set.
 void retain_snapshots(const std::filesystem::path& dir, std::size_t keep);
+
+/// Receives one snapshot file shipped in consecutive chunks and publishes
+/// it in `dir` under snapshot_path(), in publish_file()'s order: the chunks
+/// go to a temp file next to the final name, which is fsynced, validated by
+/// load_snapshot(), renamed, and the directory fsynced.  Only the chunk in
+/// hand is ever in memory, so a declared size costs nothing until its bytes
+/// arrive.
+class SnapshotReceiver {
+ public:
+  explicit SnapshotReceiver(std::filesystem::path dir);
+  /// Removes the temp file of a transfer that did not complete.
+  ~SnapshotReceiver();
+
+  SnapshotReceiver(const SnapshotReceiver&) = delete;
+  SnapshotReceiver& operator=(const SnapshotReceiver&) = delete;
+
+  /// Appends one chunk of the file snapshot epoch `epoch` ships as
+  /// `total_bytes` bytes.  A chunk at offset 0 starts a fresh transfer,
+  /// discarding any unfinished one; every other chunk must carry the same
+  /// epoch and total, start where the bytes received so far end, and stay
+  /// within the total.  The `last` chunk must complete the file.  Returns
+  /// true once the file is published, false while more chunks are due.
+  /// Throws CorruptData when a chunk breaks these rules or the completed
+  /// file fails validation or names another epoch, IoError when the disk
+  /// does; either way the transfer is abandoned and nothing is published.
+  bool add(std::uint64_t epoch, std::uint64_t total_bytes,
+           std::uint64_t offset, std::span<const std::byte> data, bool last);
+
+ private:
+  void abandon() noexcept;
+
+  std::filesystem::path dir_;
+  std::filesystem::path tmp_;  // empty: no transfer in progress
+  AppendFile file_;
+  std::uint64_t epoch_ = 0;
+  std::uint64_t total_bytes_ = 0;
+  std::uint64_t received_ = 0;
+};
 
 }  // namespace larp::persist

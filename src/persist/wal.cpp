@@ -161,6 +161,66 @@ WalReplayReport replay_wal(const std::filesystem::path& dir, std::uint32_t shard
   return report;
 }
 
+WalTailer::WalTailer(std::filesystem::path dir, std::uint32_t shard,
+                     std::uint64_t position)
+    : dir_(std::move(dir)), shard_(shard), position_(position) {}
+
+TailStatus WalTailer::poll(std::vector<WalFrame>& out, std::size_t max_bytes) {
+  out.clear();
+  const auto segments = list_wal_segments(dir_, shard_);
+  if (segments.empty()) return TailStatus::kUpToDate;
+  if (position_ < segments.front().start_seq) {
+    return TailStatus::kNeedsBootstrap;
+  }
+  // The segment holding position_: the last one starting at or below it.
+  std::size_t idx = 0;
+  while (idx + 1 < segments.size() &&
+         segments[idx + 1].start_seq <= position_) {
+    ++idx;
+  }
+  // Where the valid frames read so far end: the next segment must start at
+  // or below it.
+  std::uint64_t next = position_;
+  for (; idx < segments.size(); ++idx) {
+    // A gap between segments below the write head is unreachable under the
+    // contiguity invariant, and so is damage short of a segment's end that
+    // a successor does not pick up: trust nothing past either.
+    if (segments[idx].start_seq > next) return TailStatus::kCorrupt;
+    try {
+      contents_ = read_file(segments[idx].path);
+    } catch (const IoError&) {
+      // Pruned between the listing and the read; the next poll re-lists
+      // (and reports kNeedsBootstrap if the position went with it).
+      return TailStatus::kUpToDate;
+    }
+    if (contents_.size() < kSegmentHeaderBytes) {
+      return TailStatus::kUpToDate;  // freshly rotated, header in flight
+    }
+    std::size_t bytes = 0;
+    SegmentScan scan;
+    try {
+      scan = scan_segment(
+          contents_, shard_,
+          [&](std::uint64_t seq, std::span<const std::byte> payload) {
+            if (seq < position_ || bytes >= max_bytes) return;
+            out.push_back(WalFrame{seq, payload});
+            bytes += payload.size();
+          });
+    } catch (const CorruptData&) {
+      return TailStatus::kCorrupt;
+    }
+    if (scan.start_seq != segments[idx].start_seq) return TailStatus::kCorrupt;
+    if (!out.empty()) {
+      position_ = out.back().seq + 1;
+      return TailStatus::kFrames;
+    }
+    // Nothing here at or past the position.  Past the newest segment's
+    // valid frames lies either nothing or a tail still being written.
+    next = std::max(next, scan.next_seq);
+  }
+  return TailStatus::kUpToDate;
+}
+
 void repair_wal(const std::filesystem::path& dir, std::uint32_t shard,
                 std::uint64_t next_seq) {
   const auto segments = list_wal_segments(dir, shard);

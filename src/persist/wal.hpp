@@ -54,6 +54,10 @@
 // sequence numbers past a hole cannot be trusted.  WalWriter::open()
 // truncates a torn tail off the newest segment so appends continue from the
 // last durable frame.
+//
+// Readers: replay_wal(), repair_wal(), the writer's open and the WalTailer
+// all parse segments with one scanner (wal.cpp), so this file is the only
+// code that knows the segment and frame layout.
 #pragma once
 
 #include <chrono>
@@ -234,10 +238,11 @@ class WalWriter {
   std::vector<std::uint32_t> staged_weights_;
 };
 
-/// One recovered frame.
+/// One recovered frame.  `payload` borrows the reader's buffer: valid during
+/// the replay_wal() callback, or until the WalTailer's next poll().
 struct WalFrame {
   std::uint64_t seq = 0;
-  std::span<const std::byte> payload;  // valid only during the callback
+  std::span<const std::byte> payload;
 };
 
 /// Statistics of one replay pass.
@@ -258,6 +263,48 @@ struct WalReplayReport {
 WalReplayReport replay_wal(const std::filesystem::path& dir, std::uint32_t shard,
                            std::uint64_t from_seq,
                            const std::function<void(const WalFrame&)>& fn);
+
+enum class TailStatus {
+  kFrames,          // >= 1 frame delivered
+  kUpToDate,        // nothing committed past the position yet
+  kNeedsBootstrap,  // the position predates the oldest retained segment
+  kCorrupt,         // invalid frame mid-sequence (a successor segment exists)
+};
+
+/// Incremental reader over one shard's segment files, for a log that a
+/// WalWriter may still be appending to: it shares nothing with the writer
+/// but the files, so a caller (the replication leader) never takes a shard
+/// lock.  Against a live writer it follows the recovery rules above:
+///   * a frame is trusted only past the full length+CRC+contiguity check,
+///     so a torn tail (an append in flight, or a crash) reads as "no more
+///     frames yet" — the tailer holds its position and re-reads on the next
+///     poll, which also makes a repair_wal() + rewrite at the same offset
+///     seamless;
+///   * an invalid frame is corruption only when a successor segment exists,
+///     because rotation happens exactly at the end of a segment's valid
+///     frames.
+class WalTailer {
+ public:
+  WalTailer(std::filesystem::path dir, std::uint32_t shard,
+            std::uint64_t position);
+
+  /// Reads forward from position(), replacing `out` with the validated
+  /// frames of ONE segment until `max_bytes` of payload have accumulated or
+  /// the segment ends.  Every payload borrows the tailer's segment buffer,
+  /// valid until the next poll(); a caller loops until kUpToDate, so a
+  /// rotation costs it one more poll.  On kFrames the position has advanced
+  /// past the delivered frames; on every other status it is unchanged.
+  TailStatus poll(std::vector<WalFrame>& out, std::size_t max_bytes);
+
+  /// Next sequence number poll() will deliver.
+  [[nodiscard]] std::uint64_t position() const noexcept { return position_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::uint32_t shard_;
+  std::uint64_t position_;
+  std::vector<std::byte> contents_;  // the segment the last poll read
+};
 
 /// Physically truncates shard `shard`'s log so that `next_seq` is the next
 /// sequence number a writer will assign: deletes segments starting at or

@@ -1,121 +1,6 @@
 #include "replication/log.hpp"
 
-#include <algorithm>
-
-#include "persist/crc32c.hpp"
-#include "persist/file.hpp"
-#include "persist/io.hpp"
-#include "persist/wal.hpp"
-
 namespace larp::replication {
-
-namespace {
-
-// The WAL segment format (mirrors persist/wal.cpp, which keeps these
-// private; the layout itself is pinned by the persist golden-format tests).
-constexpr std::uint64_t kWalMagic = 0x314C415750524C41ull;  // "LARPWAL1" LE
-constexpr std::size_t kSegmentHeaderBytes = 8 + 4 + 4 + 8;
-constexpr std::size_t kFrameHeaderBytes = 4 + 4;
-constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
-
-}  // namespace
-
-WalTailer::WalTailer(std::filesystem::path dir, std::uint32_t shard,
-                     std::uint64_t position)
-    : dir_(std::move(dir)), shard_(shard), position_(position) {}
-
-TailStatus WalTailer::poll(std::vector<TailedFrame>& out,
-                           std::size_t max_bytes) {
-  out.clear();
-  const auto segments = persist::list_wal_segments(dir_, shard_);
-  if (segments.empty()) return TailStatus::kUpToDate;
-  if (position_ < segments.front().start_seq) {
-    return TailStatus::kNeedsBootstrap;
-  }
-  // The segment holding position_: the last one starting at or below it.
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    if (segments[i].start_seq <= position_) idx = i;
-  }
-
-  std::size_t delivered_bytes = 0;
-  std::uint64_t next = position_;
-  for (; idx < segments.size() && delivered_bytes < max_bytes; ++idx) {
-    if (segments[idx].start_seq > next) {
-      // A gap between segments below the write head is unreachable under
-      // the contiguity invariant — trust nothing past it.
-      return out.empty() ? TailStatus::kCorrupt : TailStatus::kFrames;
-    }
-    try {
-      contents_ = persist::read_file(segments[idx].path);
-    } catch (const persist::IoError&) {
-      // Pruned between the directory listing and the read; the next poll
-      // re-lists (and reports kNeedsBootstrap if our position went with it).
-      break;
-    }
-    if (contents_.size() < kSegmentHeaderBytes) break;  // header in flight
-    persist::io::Reader header(
-        std::span<const std::byte>(contents_).first(kSegmentHeaderBytes));
-    if (header.u64() != kWalMagic ||
-        header.u32() == 0 /* version */ || header.u32() != shard_) {
-      return TailStatus::kCorrupt;
-    }
-    const std::uint64_t start_seq = header.u64();
-    if (start_seq != segments[idx].start_seq) return TailStatus::kCorrupt;
-
-    // Walk the frames; deliver the ones at or past the position.
-    const std::span<const std::byte> bytes(contents_);
-    std::size_t offset = kSegmentHeaderBytes;
-    std::uint64_t seq = start_seq;
-    bool clean_end = false;
-    while (offset < bytes.size()) {
-      if (bytes.size() - offset < kFrameHeaderBytes) break;  // torn header
-      persist::io::Reader fh(bytes.subspan(offset, kFrameHeaderBytes));
-      const std::uint32_t length = fh.u32();
-      const std::uint32_t stored_crc = persist::crc32c_unmask(fh.u32());
-      if (length < 8 || length > kMaxFrameBytes ||
-          length > bytes.size() - offset - kFrameHeaderBytes) {
-        break;  // torn or corrupt length
-      }
-      const auto body = bytes.subspan(offset + kFrameHeaderBytes, length);
-      if (persist::crc32c(body) != stored_crc) break;
-      persist::io::Reader body_reader(body);
-      if (body_reader.u64() != seq) break;  // sequence hole
-      if (seq >= next) {
-        out.push_back({seq, body.subspan(8)});
-        delivered_bytes += body.size() - 8;
-        next = seq + 1;
-        if (delivered_bytes >= max_bytes) {
-          // Budget filled mid-segment; the next poll resumes here (and
-          // re-reads this segment — `contents_` is about to be reused).
-          position_ = next;
-          return TailStatus::kFrames;
-        }
-      }
-      ++seq;
-      offset += kFrameHeaderBytes + length;
-      clean_end = (offset == bytes.size());
-    }
-    if (offset == kSegmentHeaderBytes && bytes.size() == kSegmentHeaderBytes) {
-      clean_end = true;  // header-only segment, freshly rotated
-    }
-    next = std::max(next, seq);
-    if (!clean_end) {
-      // Invalid bytes short of the file's end: a tail still being written
-      // (wait and re-poll) — unless a successor segment exists, in which
-      // case rotation already happened and this is genuine damage.
-      const bool has_successor = idx + 1 < segments.size();
-      if (has_successor && segments[idx + 1].start_seq <= seq) {
-        continue;  // successor picks up exactly where the valid prefix ends
-      }
-      if (has_successor) return TailStatus::kCorrupt;
-      break;
-    }
-  }
-  if (out.empty()) return TailStatus::kUpToDate;
-  position_ = next;
-  return TailStatus::kFrames;
-}
 
 bool covers(std::span<const std::uint64_t> a,
             std::span<const std::uint64_t> b) {

@@ -1,5 +1,4 @@
-// replication::log — the position model replication is built on, plus the
-// leader-side segment tailer.
+// replication::log — the position model replication is built on.
 //
 // A *position* is, per shard, the next WAL sequence number an engine expects
 // (exactly WalWriter::next_seq()).  Positions are directly comparable across
@@ -9,69 +8,23 @@
 // leader had published at that instant.  A position table (one u64 per
 // shard) travels in every Hello/Ack/Heartbeat frame.
 //
-// The WalTailer reads a shard's committed frames straight from the segment
-// files the WalWriter appends — no shared state with the writer beyond the
-// filesystem, which is the whole point: the replication server never takes a
-// shard lock, so shipping frames cannot contend with serving traffic.
-// Correctness against a concurrently-appending writer follows from the WAL's
-// own recovery rules:
-//   * frames are only trusted past a full length+CRC+contiguity check, so a
-//     torn tail (partial write in flight, or a crash) reads as "no more
-//     frames yet" — the tailer holds its position and re-reads on the next
-//     poll, which also makes a leader-side repair_wal() + rewrite at the
-//     same offset seamless;
-//   * an invalid frame is only *corruption* when a successor segment exists
-//     (the contiguity invariant says rotation happens exactly at the end of
-//     a segment's valid frames, so damage in the middle of the sequence can
-//     never be a tail in progress).
+// The leader reads a shard's committed frames with persist::WalTailer, which
+// parses the segment files with the same scanner as recovery replay and
+// returns one segment's frames per poll; the names below are its
+// replication-side spellings.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <filesystem>
 #include <span>
-#include <vector>
+
+#include "persist/wal.hpp"
 
 namespace larp::replication {
 
-/// One tailed WAL frame.  `payload` (the post-seq frame bytes) borrows the
-/// tailer's read buffer: valid until the next poll() call.
-struct TailedFrame {
-  std::uint64_t seq = 0;
-  std::span<const std::byte> payload;
-};
-
-enum class TailStatus {
-  kFrames,          // >= 1 frame delivered
-  kUpToDate,        // nothing committed past the position yet
-  kNeedsBootstrap,  // the position predates the oldest retained segment
-  kCorrupt,         // invalid frame mid-sequence (a successor segment exists)
-};
-
-/// Incremental reader over one shard's WAL segment files.  poll() delivers
-/// committed frames from the current position onward and advances only past
-/// frames that validated completely, so a caller can poll forever against a
-/// live writer.
-class WalTailer {
- public:
-  WalTailer(std::filesystem::path dir, std::uint32_t shard,
-            std::uint64_t position);
-
-  /// Reads forward from position(), appending validated frames to `out`
-  /// (cleared first) until `max_bytes` of payload have accumulated or the
-  /// committed log is exhausted.  On kFrames the position has advanced past
-  /// the delivered frames; on every other status it is unchanged.
-  TailStatus poll(std::vector<TailedFrame>& out, std::size_t max_bytes);
-
-  /// Next sequence number poll() will deliver.
-  [[nodiscard]] std::uint64_t position() const noexcept { return position_; }
-
- private:
-  std::filesystem::path dir_;
-  std::uint32_t shard_;
-  std::uint64_t position_;
-  std::vector<std::byte> contents_;  // current segment bytes (reused)
-};
+using persist::TailStatus;
+using persist::WalTailer;
+/// One tailed WAL frame; its payload is valid until the tailer's next poll.
+using TailedFrame = persist::WalFrame;
 
 /// True when every shard of `a` is at or past `b` — "a has applied
 /// everything b had".  Tables of different sizes never cover each other.

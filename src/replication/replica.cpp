@@ -1,11 +1,9 @@
 #include "replication/replica.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
-#include "persist/file.hpp"
 #include "persist/snapshot.hpp"
 #include "replication/log.hpp"
 #include "replication/wire.hpp"
@@ -18,12 +16,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::string snapshot_filename(std::uint64_t epoch) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "snapshot-%020llu.snap",
-                static_cast<unsigned long long>(epoch));
-  return name;
-}
+// Ceiling of the reconnect backoff, which doubles from reconnect_backoff.
+constexpr std::chrono::milliseconds kMaxBackoff{2000};
 
 }  // namespace
 
@@ -110,7 +104,7 @@ void Replica::run() {
       std::this_thread::sleep_for(step);
       remaining -= step;
     }
-    backoff = std::min(backoff * 2, config_.max_backoff);
+    backoff = std::min(backoff * 2, kMaxBackoff);
   }
   ready_cv_.notify_all();  // wake wait_until_ready() on failure/stop
 }
@@ -143,7 +137,7 @@ void Replica::stream_once() {
   };
   send_hello();
 
-  std::vector<std::byte> snapshot_buf;
+  persist::SnapshotReceiver snapshot(config_.data_dir);
   std::vector<net::ReplFrame> frames;
   std::vector<serve::ReplicatedFrame> batch;
   auto last_ack = Clock::now();
@@ -173,34 +167,21 @@ void Replica::stream_once() {
                 "is live — its position predates the leader's retained log; "
                 "restart the follower to bootstrap afresh");
           }
-          if (chunk.offset != snapshot_buf.size()) {
-            throw net::NetError("repl: snapshot chunks out of order");
+          // A chunk that breaks the transfer, or a file that fails
+          // validation, throws: nothing is published and the replica
+          // reconnects for a fresh bootstrap.
+          if (!snapshot.add(chunk.epoch, chunk.total_bytes, chunk.offset,
+                            chunk.data, chunk.last)) {
+            break;
           }
-          if (chunk.offset == 0) {
-            snapshot_buf.clear();
-            snapshot_buf.reserve(chunk.total_bytes);
-          }
-          snapshot_buf.insert(snapshot_buf.end(), chunk.data.begin(),
-                              chunk.data.end());
-          if (chunk.last) {
-            if (snapshot_buf.size() != chunk.total_bytes) {
-              throw net::NetError("repl: snapshot transfer size mismatch");
-            }
-            persist::ensure_directory(config_.data_dir);
-            persist::publish_file(
-                config_.data_dir / snapshot_filename(chunk.epoch),
-                snapshot_buf);
-            snapshot_buf.clear();
-            snapshot_buf.shrink_to_fit();
-            // Count the bootstrap BEFORE adopt_engine() publishes the engine:
-            // wait_until_ready() returns the instant the pointer lands, and a
-            // caller reading stats() right then must already see it.
-            bootstraps_.fetch_add(1, std::memory_order_relaxed);
-            adopt_engine();
-            LARP_LOG_INFO("repl") << "bootstrapped from leader snapshot epoch "
-                                  << chunk.epoch;
-            send_hello();
-          }
+          // Count the bootstrap BEFORE adopt_engine() publishes the engine:
+          // wait_until_ready() returns the instant the pointer lands, and a
+          // caller reading stats() right then must already see it.
+          bootstraps_.fetch_add(1, std::memory_order_relaxed);
+          adopt_engine();
+          LARP_LOG_INFO("repl") << "bootstrapped from leader snapshot epoch "
+                                << chunk.epoch;
+          send_hello();
           break;
         }
         case net::MsgType::kReplFrames: {

@@ -2,9 +2,10 @@
 //
 // A Replica owns a background thread that connects to a leader's
 // ReplicationServer, bootstraps a local PredictionEngine when it has no
-// state of its own (the leader ships a snapshot container; the replica
-// publishes it into its data_dir and restores from it — so the follower's
-// identity configuration comes from the leader, not from local flags), then
+// state of its own (the leader ships a snapshot file; the replica writes it
+// to a temp file in its data_dir, publishes it only once persist validates
+// it, and restores from it — so the follower's identity configuration comes
+// from the leader, not from local flags), then
 // applies the live kReplFrames stream through replicate_frames() and acks
 // applied positions on a cadence.
 //
@@ -51,8 +52,8 @@ struct ReplicaConfig {
   /// Ack cadence; also the stream-poll tick, so it bounds how quickly the
   /// replica notices new frames, heartbeats, and stop().
   std::chrono::milliseconds ack_interval{50};
+  /// First reconnect delay; it doubles per failed attempt, up to 2 s.
   std::chrono::milliseconds reconnect_backoff{100};
-  std::chrono::milliseconds max_backoff{2000};
 };
 
 class Replica {

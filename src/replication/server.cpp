@@ -10,7 +10,6 @@
 #include <optional>
 
 #include "net/protocol.hpp"
-#include "persist/file.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "replication/log.hpp"
@@ -26,6 +25,11 @@ using Clock = std::chrono::steady_clock;
 using detail::read_available;
 using detail::send_all;
 using detail::wait_readable;
+
+// Payload bytes per ReplFrames batch and per ReplSnapshotChunk, well under
+// the 4 MiB wire frame cap.  A batch closes with the frame that reaches it,
+// so one large WAL frame still ships whole.
+constexpr std::size_t kFramePayloadBytes = 1u << 20;
 
 std::uint64_t unix_millis() {
   return static_cast<std::uint64_t>(
@@ -46,11 +50,6 @@ ReplicationServer::ReplicationServer(serve::PredictionEngine& engine,
     throw InvalidArgument(
         "ReplicationServer: leader engine needs durability (replication "
         "ships its WAL)");
-  }
-  if (config_.max_batch_bytes == 0 || config_.snapshot_chunk_bytes == 0 ||
-      config_.max_batch_bytes > net::kMaxFrameBytes / 2 ||
-      config_.snapshot_chunk_bytes > net::kMaxFrameBytes / 2) {
-    throw InvalidArgument("ReplicationServer: batch/chunk size out of range");
   }
 }
 
@@ -145,24 +144,21 @@ void ReplicationServer::refresh_retain_floor_locked() {
 bool ReplicationServer::ship_snapshot(Session& session,
                                       std::uint64_t hello_id) {
   const std::uint64_t epoch = engine_.snapshot();
-  const auto& dir = engine_.config().durability.data_dir;
-  std::filesystem::path path;
-  for (const auto& info : persist::list_snapshots(dir)) {
-    if (info.epoch == epoch) path = info.path;
-  }
-  if (path.empty()) return false;
-  const std::vector<std::byte> contents = persist::read_file(path);
+  // Ship the file as validated and mapped: an unlink by retention leaves the
+  // mapping readable, and nothing is copied.
+  persist::LoadedSnapshot snapshot = persist::load_snapshot(
+      persist::snapshot_path(engine_.config().durability.data_dir, epoch));
+  const std::span<const std::byte> contents = snapshot.file.map();
 
   persist::io::Writer body;
   std::vector<std::byte> out;
-  const std::size_t chunk_bytes = config_.snapshot_chunk_bytes;
   std::size_t offset = 0;
   do {
-    const std::size_t n = std::min(chunk_bytes, contents.size() - offset);
+    const std::size_t n =
+        std::min(kFramePayloadBytes, contents.size() - offset);
     const bool last = offset + n == contents.size();
-    net::encode_repl_snapshot_chunk(
-        body, hello_id, epoch, contents.size(), offset,
-        std::span<const std::byte>(contents.data() + offset, n), last);
+    net::encode_repl_snapshot_chunk(body, hello_id, epoch, contents.size(),
+                                    offset, contents.subspan(offset, n), last);
     out.clear();
     net::append_frame(out, body.bytes());
     if (!send_all(session.fd.get(), out)) return false;
@@ -301,7 +297,7 @@ void ReplicationServer::serve_follower(Session& session) {
     bool shipped = false;
     for (std::size_t s = 0; s < shards; ++s) {
       const TailStatus status =
-          tailers[s].poll(tailed, config_.max_batch_bytes);
+          tailers[s].poll(tailed, kFramePayloadBytes);
       if (status == TailStatus::kUpToDate) continue;
       if (status != TailStatus::kFrames) {
         // kNeedsBootstrap: the retain floor was not enough (e.g. the floor

@@ -9,14 +9,16 @@
 //   ReplHello{positions}      ->
 //                             <-      ReplSnapshotChunk* (only when the
 //                                     positions are empty or predate the
-//                                     retained log: a fresh snapshot is cut
-//                                     and its container bytes shipped)
+//                                     retained log: a fresh snapshot is cut,
+//                                     validated, and its file shipped from
+//                                     the mapping in 1 MiB chunks)
 //   ReplHello{new positions}  ->      (re-sent after a bootstrap restore)
 //                             <-      ReplFrames / ReplHeartbeat stream
 //   ReplAck{positions}        ->      (applied positions, on a cadence)
 //
-// Live frames come from WalTailer — the segment files on disk — so shipping
-// never takes a shard lock.  Acked positions feed the engine's replication
+// Live frames come from persist::WalTailer — the segment files on disk, at
+// most 1 MiB of payload per ReplFrames batch — so shipping never takes a
+// shard lock.  Acked positions feed the engine's replication
 // retain floor: snapshot() will not prune WAL segments a connected follower
 // still needs, and a follower whose position predates the retained log is
 // told to bootstrap instead.
@@ -44,10 +46,6 @@ struct ReplicationServerConfig {
   std::chrono::milliseconds heartbeat_interval{100};
   /// Idle tail-poll cadence: how quickly new commits reach followers.
   std::chrono::milliseconds poll_interval{5};
-  /// Per-ReplFrames payload budget (kept well under the 4 MiB frame cap).
-  std::size_t max_batch_bytes = 1u << 20;
-  /// Per-ReplSnapshotChunk payload size.
-  std::size_t snapshot_chunk_bytes = 1u << 20;
 };
 
 class ReplicationServer {
@@ -94,8 +92,8 @@ class ReplicationServer {
   /// Runs one follower session on an open socket; returns on disconnect,
   /// protocol violation, or stop().
   void serve_follower(Session& session);
-  /// Cuts a fresh snapshot and ships its container bytes in chunks.
-  /// Returns false on a send failure.
+  /// Cuts a fresh snapshot and ships its file in chunks from the mapping
+  /// load_snapshot() validated.  Returns false on a send failure.
   bool ship_snapshot(Session& session, std::uint64_t hello_id);
   /// Recomputes the engine's retain floor from every live session's acks
   /// (called with sessions_mutex_ held).

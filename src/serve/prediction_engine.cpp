@@ -67,14 +67,6 @@ Prediction ready(const std::optional<core::LarPredictor::Forecast>& f) {
 // which preserves every aggregate stats() total.
 constexpr std::uint32_t kEnginePayloadVersion = 4;
 
-// WAL frame types.  predict() frames matter for bit-identical recovery:
-// predict_next() mutates the predictor's pending-forecast state and the
-// series' kept forecast, which feed the residual/uncertainty stream and the
-// audit.
-constexpr std::uint8_t kWalObserve = 0;
-constexpr std::uint8_t kWalPredict = 1;
-constexpr std::uint8_t kWalErase = 2;
-
 // The removed tier's tuning fields in the v3/v4 config block, 8 bytes each:
 // four u64 (counter bits, history length, table rows, min records) and three
 // f64 (perceptron rate and clip, error decay).
@@ -840,17 +832,9 @@ std::uint64_t PredictionEngine::snapshot() {
 
 void PredictionEngine::apply_wal_frame(Shard& shard,
                                        std::span<const std::byte> payload) {
-  if (WalPayloadCodec::is_block(payload)) {
-    shard.codec.decode_block(payload, [&](const WalOp& op) {
-      apply_op(shard, op.type, *op.key, op.value);
-    });
-    return;
-  }
-  persist::io::Reader r{payload};
-  const std::uint8_t type = r.u8();
-  tsdb::SeriesKey key{r.str(), r.str(), r.str()};
-  const double value = type == kWalObserve ? r.f64() : 0.0;
-  apply_op(shard, type, key, value);
+  shard.codec.decode(payload, [&](const WalOp& op) {
+    apply_op(shard, op.type, *op.key, op.value);
+  });
 }
 
 void PredictionEngine::apply_op(Shard& shard, std::uint8_t type,

@@ -407,9 +407,8 @@ class PredictionEngine {
   /// heads of a v1 payload.
   void load_sections(persist::io::Reader& r, const SnapshotDescription& layout,
                      std::vector<std::uint64_t>& watermarks);
-  /// Applies one replayed WAL frame to its shard — a legacy per-op payload
-  /// or a compressed block (dispatched on the payload's first byte; blocks
-  /// advance the shard codec exactly as encoding them did).
+  /// Applies one replayed WAL frame to its shard through the shard codec,
+  /// which decodes either payload format.
   void apply_wal_frame(Shard& shard, std::span<const std::byte> payload);
   /// Applies one logical operation (the body both frame formats decode to).
   void apply_op(Shard& shard, std::uint8_t type, const tsdb::SeriesKey& key,

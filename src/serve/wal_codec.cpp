@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "util/error.hpp"
 
 namespace larp::serve {
 
 namespace {
-
-// Block op types mirror the legacy WAL frame type bytes.
-constexpr std::uint8_t kOpObserve = 0;
-constexpr std::uint8_t kOpPredict = 1;
-constexpr std::uint8_t kOpErase = 2;
 
 constexpr std::size_t kMaxKeyPart = 1u << 20;  // sanity bound on decode
 
@@ -78,20 +74,20 @@ void WalPayloadCodec::begin_block(std::size_t op_count) {
 }
 
 void WalPayloadCodec::add_observe(const tsdb::SeriesKey& key, double value) {
-  writer_.bits(kOpObserve, 2);
+  writer_.bits(kWalObserve, 2);
   const std::uint32_t id = intern(key, /*encode=*/true);
   persist::codec::XorEncoder::put(writer_, values_[id], value);
   ++added_ops_;
 }
 
 void WalPayloadCodec::add_predict(const tsdb::SeriesKey& key) {
-  writer_.bits(kOpPredict, 2);
+  writer_.bits(kWalPredict, 2);
   (void)intern(key, /*encode=*/true);
   ++added_ops_;
 }
 
 void WalPayloadCodec::add_erase(const tsdb::SeriesKey& key) {
-  writer_.bits(kOpErase, 2);
+  writer_.bits(kWalErase, 2);
   // The dictionary entry outlives the series: ids must stay stable for any
   // frame already written, and a re-created series resumes the chain.
   (void)intern(key, /*encode=*/true);
@@ -133,6 +129,25 @@ std::uint32_t WalPayloadCodec::get_key(persist::codec::BlockReader& r) {
   return id;
 }
 
+void WalPayloadCodec::decode(std::span<const std::byte> payload,
+                             const std::function<void(const WalOp&)>& fn) {
+  if (is_block(payload)) {
+    decode_block(payload, fn);
+    return;
+  }
+  persist::io::Reader r{payload};
+  WalOp op;
+  op.type = r.u8();
+  if (op.type > kWalErase) {
+    throw persist::CorruptData("wal frame: unknown type " +
+                               std::to_string(op.type));
+  }
+  const tsdb::SeriesKey key{r.str(), r.str(), r.str()};
+  if (op.type == kWalObserve) op.value = r.f64();
+  op.key = &key;
+  fn(op);
+}
+
 void WalPayloadCodec::decode_block(
     std::span<const std::byte> payload,
     const std::function<void(const WalOp&)>& fn) {
@@ -149,11 +164,11 @@ void WalPayloadCodec::decode_block(
   for (std::uint64_t i = 0; i < count; ++i) {
     WalOp op;
     op.type = static_cast<std::uint8_t>(r.bits(2));
-    if (op.type > kOpErase) {
+    if (op.type > kWalErase) {
       throw persist::CorruptData("wal block: unknown op type");
     }
     const std::uint32_t id = get_key(r);
-    if (op.type == kOpObserve) {
+    if (op.type == kWalObserve) {
       op.value = persist::codec::XorDecoder::get(r, values_[id]);
     }
     op.key = &keys_[id];

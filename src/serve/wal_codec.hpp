@@ -1,5 +1,8 @@
-// WalPayloadCodec — compressed block encoding for engine WAL payloads
-// (engine payload v4; DESIGN.md §11).
+// WalPayloadCodec — the one reader and writer of engine WAL payloads: the
+// compressed block encoding the engine writes (engine payload v4; DESIGN.md
+// §11), and the legacy per-op payloads that v1/v3 logs still hold (type
+// byte, the three key strings as io::Writer::str, and an f64 value for an
+// observe).
 //
 // Instead of one WAL frame per operation (whose 16-byte frame header and
 // repeated key strings dominate the bytes), the engine packs every op of a
@@ -45,13 +48,21 @@
 
 namespace larp::serve {
 
+/// WAL op types: a per-op payload's leading byte, and each block op's
+/// 2-bit type.  predict() is logged too: predict_next() mutates the
+/// predictor's pending-forecast state and the series' kept forecast, which
+/// feed the residual/uncertainty stream and the audit.
+inline constexpr std::uint8_t kWalObserve = 0;
+inline constexpr std::uint8_t kWalPredict = 1;
+inline constexpr std::uint8_t kWalErase = 2;
+
 /// Leading payload byte of a compressed block frame.  Legacy per-op
 /// payloads start with their type byte (0, 1, 2), so values >= 0xB0 are
 /// free for framing markers.
 inline constexpr std::uint8_t kWalBlockMarker = 0xB1;
 
-/// One operation decoded from a block frame.  `key` points into the codec's
-/// dictionary and stays valid for the codec's lifetime.
+/// One decoded operation.  `key` is valid during the decode callback (a
+/// block op's key lives in the codec's dictionary for the codec's lifetime).
 struct WalOp {
   std::uint8_t type = 0;  // kWalObserve / kWalPredict / kWalErase
   const tsdb::SeriesKey* key = nullptr;
@@ -82,11 +93,12 @@ class WalPayloadCodec {
   [[nodiscard]] static std::size_t payload_weight(
       std::span<const std::byte> payload);
 
-  /// Decodes one block payload, invoking `fn` per op in encode order, and
-  /// advances the codec state exactly as encoding it did.  Throws
-  /// persist::CorruptData on malformed bytes.
-  void decode_block(std::span<const std::byte> payload,
-                    const std::function<void(const WalOp&)>& fn);
+  /// Decodes one WAL payload of either format, invoking `fn` per op in
+  /// order.  A block advances the codec state exactly as encoding it did; a
+  /// legacy per-op payload leaves it untouched.  Throws persist::CorruptData
+  /// on malformed bytes.
+  void decode(std::span<const std::byte> payload,
+              const std::function<void(const WalOp&)>& fn);
 
   /// Snapshot persistence of the full codec state (dictionary + per-series
   /// XOR chains), taken at the shard's WAL watermark cut.
@@ -96,6 +108,8 @@ class WalPayloadCodec {
   [[nodiscard]] std::size_t dictionary_size() const { return keys_.size(); }
 
  private:
+  void decode_block(std::span<const std::byte> payload,
+                    const std::function<void(const WalOp&)>& fn);
   [[nodiscard]] std::uint32_t intern(const tsdb::SeriesKey& key, bool encode);
   void put_key(const tsdb::SeriesKey& key);
   [[nodiscard]] std::uint32_t get_key(persist::codec::BlockReader& r);

@@ -1,7 +1,7 @@
 // End-to-end loopback tests: a real epoll Server on an ephemeral port, real
 // sockets, real frames.  These run under the sanitizer CI jobs (the target
-// label puts them in the TSan set), so the accept handoff, per-loop
-// ownership, and shutdown join are all exercised under race detection.
+// label puts them in the TSan set), so the per-loop accept and ownership
+// and the shutdown join are all exercised under race detection.
 #include <gtest/gtest.h>
 
 #include <bit>

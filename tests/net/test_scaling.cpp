@@ -1,9 +1,9 @@
-// Multi-loop scaling and edge-triggered backpressure tests: SO_REUSEPORT
-// per-loop listeners must serve bit-identical results to the single-loop
-// handoff design, and the EPOLLET + writev reply path must survive slow
-// readers, injected partial writes, torn frames, and half-closed peers
-// without dropping or reordering a single reply.  Runs under the TSan CI
-// label with the rest of larp_tests_net.
+// Multi-loop scaling and edge-triggered backpressure tests: four loops, each
+// accepting on its own SO_REUSEPORT listener, must serve bit-identical
+// results to a single loop, and the EPOLLET + writev reply path must
+// survive slow readers, injected partial writes, torn frames, and
+// half-closed peers without dropping or reordering a single reply.  Runs
+// under the TSan CI label with the rest of larp_tests_net.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -54,23 +54,15 @@ class TransferClamp {
 };
 
 /// Drives a fixed deterministic workload (4 connections x 4 series x 16
-/// steps, then one predict per series) against a fresh engine + server in
-/// the given accept mode and returns every prediction as raw bits.  Two
+/// steps, then one predict per series) against a fresh engine + server with
+/// `threads` event loops and returns every prediction as raw bits.  Two
 /// configurations serving the same workload must return identical vectors.
-std::vector<std::uint64_t> run_workload(AcceptMode mode, std::size_t threads,
-                                        bool& unsupported) {
-  unsupported = false;
+std::vector<std::uint64_t> run_workload(std::size_t threads) {
   serve::PredictionEngine engine(predictors::make_paper_pool(5), tiny_config());
   ServerConfig config;
   config.event_threads = threads;
-  config.accept_mode = mode;
   Server server(engine, config);
-  try {
-    server.start();
-  } catch (const NetError&) {
-    unsupported = true;
-    return {};
-  }
+  server.start();
 
   std::vector<std::uint64_t> bits;
   const std::size_t kConns = 4;
@@ -105,28 +97,20 @@ std::vector<std::uint64_t> run_workload(AcceptMode mode, std::size_t threads,
 }
 
 TEST(ReusePortTest, MultiLoopMatchesSingleLoopBitIdentical) {
-  bool unsupported = false;
-  const auto baseline = run_workload(AcceptMode::kHandoff, 1, unsupported);
-  ASSERT_FALSE(unsupported);  // handoff has no kernel prerequisite
+  const auto baseline = run_workload(1);
   ASSERT_FALSE(baseline.empty());
-
-  const auto multi = run_workload(AcceptMode::kReusePort, 4, unsupported);
-  if (unsupported) GTEST_SKIP() << "kernel lacks SO_REUSEPORT";
-  EXPECT_EQ(multi, baseline);
+  EXPECT_EQ(run_workload(4), baseline);
 }
 
 TEST(ReusePortTest, InjectedPartialWritesStayBitIdentical) {
   // Same parity claim with every server send clamped to 9 bytes, so every
   // reply frame crosses several partial-writev resumes before reaching the
   // client whole.
-  bool unsupported = false;
-  const auto baseline = run_workload(AcceptMode::kHandoff, 1, unsupported);
-  ASSERT_FALSE(unsupported);
+  const auto baseline = run_workload(1);
+  ASSERT_FALSE(baseline.empty());
 
   TransferClamp clamp(9);
-  const auto clamped = run_workload(AcceptMode::kReusePort, 4, unsupported);
-  if (unsupported) GTEST_SKIP() << "kernel lacks SO_REUSEPORT";
-  EXPECT_EQ(clamped, baseline);
+  EXPECT_EQ(run_workload(4), baseline);
 }
 
 class BackpressureTest : public ::testing::Test {

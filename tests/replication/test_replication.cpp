@@ -11,8 +11,11 @@
 // and the follower replays them through the same deterministic code path as
 // crash recovery, so anything weaker than bit-identity is a bug.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
@@ -23,13 +26,18 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/client.hpp"
+#include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "net/socket.hpp"
 #include "persist/file.hpp"
+#include "persist/io.hpp"
+#include "persist/snapshot.hpp"
 #include "persist/wal.hpp"
 #include "predictors/pool.hpp"
 #include "replication/log.hpp"
@@ -58,6 +66,10 @@ std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> out(s.size());
   std::memcpy(out.data(), s.data(), s.size());
   return out;
+}
+
+std::string text_of(std::span<const std::byte> bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
 }
 
 // ---------------------------------------------------------------------------
@@ -116,11 +128,18 @@ TEST_F(WalTailerTest, FollowsSegmentRotation) {
   }
   ASSERT_GT(persist::list_wal_segments(dir_, 0).size(), 2u);
 
+  // Every payload a poll returns must still read as written, whichever
+  // segment it came from: the budget is far above the whole log, so only
+  // the one-segment-per-poll rule keeps earlier segments' bytes alive.
   WalTailer tailer(dir_, 0, 0);
   std::vector<TailedFrame> frames;
   std::uint64_t next = 0;
   while (tailer.poll(frames, 1u << 20) == TailStatus::kFrames) {
-    for (const auto& f : frames) EXPECT_EQ(f.seq, next++);
+    for (const auto& f : frames) {
+      EXPECT_EQ(f.seq, next++);
+      EXPECT_EQ(text_of(f.payload),
+                "rotating-payload-" + std::to_string(f.seq));
+    }
   }
   EXPECT_EQ(next, 20u);
   EXPECT_EQ(tailer.position(), 20u);
@@ -293,9 +312,18 @@ class ReplicationTest : public ::testing::Test {
     follower_dir_ = test_dir("follower");
     fs::remove_all(leader_dir_);
     fs::remove_all(follower_dir_);
+    start_leader(persist::WalConfig{});
+  }
 
+  /// (Re)starts a fresh leader, and its replication server, over an empty
+  /// directory with the given WAL tuning.
+  void start_leader(const persist::WalConfig& wal) {
+    repl_.reset();
+    leader_.reset();
+    fs::remove_all(leader_dir_);
     serve::EngineConfig config = tiny_config();
     config.durability.data_dir = leader_dir_;
+    config.durability.wal = wal;
     leader_ = std::make_unique<serve::PredictionEngine>(
         predictors::make_paper_pool(5), config);
     start_repl_server();
@@ -382,12 +410,56 @@ class ReplicationTest : public ::testing::Test {
     }
   }
 
+  /// Kills a caught-up follower in the middle of a live stream, feeds the
+  /// leader `rounds_down` more rounds while it is down, and restarts it
+  /// over the same directory: it must resume from its own position — no
+  /// snapshot re-ship — and converge.
+  void expect_resume_without_rebootstrap(std::size_t rounds_down) {
+    feed(16);
+    replica_ = make_replica();
+    replica_->start();
+    ASSERT_NE(replica_->wait_until_ready(10s), nullptr);
+    ASSERT_TRUE(wait_covered(*replica_->engine()));
+
+    // A feeder keeps the leader appending while the replica is torn down
+    // mid-flight.
+    std::atomic<bool> feeding{true};
+    std::thread feeder([&] {
+      while (feeding.load()) {
+        feed(1);
+        std::this_thread::sleep_for(1ms);
+      }
+    });
+    std::this_thread::sleep_for(20ms);
+    replica_.reset();  // SIGKILL equivalent minus the process boundary
+    std::this_thread::sleep_for(20ms);
+    feeding = false;
+    feeder.join();
+    positions_at_kill_ = leader_->wal_positions();
+    feed(rounds_down);
+
+    // Restart over the same directory: the replica restores locally and
+    // resumes the stream from its acked position.
+    replica_ = make_replica();
+    replica_->start();
+    serve::PredictionEngine* follower = replica_->wait_until_ready(10s);
+    ASSERT_NE(follower, nullptr);
+    EXPECT_EQ(replica_->stats().bootstraps, 0u);
+
+    feed(4);
+    expect_identical_forecasts(*follower);
+    EXPECT_EQ(repl_->stats().snapshots_shipped, 1u);  // bootstrap only, once
+    EXPECT_GE(repl_->stats().sessions_total, 2u);
+  }
+
   fs::path leader_dir_;
   fs::path follower_dir_;
   std::unique_ptr<serve::PredictionEngine> leader_;
   std::unique_ptr<ReplicationServer> repl_;
   std::unique_ptr<Replica> replica_;
   std::uint64_t tick_ = 0;
+  // The leader's positions once the follower was down and the feeder done.
+  std::vector<std::uint64_t> positions_at_kill_;
 };
 
 TEST_F(ReplicationTest, BootstrapConvergeBitIdenticalForecasts) {
@@ -504,39 +576,27 @@ TEST(FollowerCatchUp, PerOpFramesFromGoldenV1LeaderApplyBitIdentically) {
 }
 
 TEST_F(ReplicationTest, FollowerKilledMidStreamResumesWithoutRebootstrap) {
-  feed(16);
-  replica_ = make_replica();
-  replica_->start();
-  ASSERT_NE(replica_->wait_until_ready(10s), nullptr);
-  ASSERT_TRUE(wait_covered(*replica_->engine()));
+  expect_resume_without_rebootstrap(0);
+}
 
-  // Kill the follower in the middle of a live stream: a feeder keeps the
-  // leader appending while the replica is torn down mid-flight.
-  std::atomic<bool> feeding{true};
-  std::thread feeder([&] {
-    while (feeding.load()) {
-      feed(1);
-      std::this_thread::sleep_for(1ms);
+// The same kill and resume against a leader whose segments rotate every few
+// frames: the resumed follower's position lies several segments behind the
+// write head, so the leader tails it across rotations.
+TEST_F(ReplicationTest, FollowerResumesAcrossSegmentRotations) {
+  persist::WalConfig wal;
+  wal.segment_bytes = 256;
+  start_leader(wal);
+  expect_resume_without_rebootstrap(40);
+  ASSERT_FALSE(HasFatalFailure());
+  // Segments the leader opened while the follower was down: the resume
+  // tailed across every one of them.
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    std::size_t rotations = 0;
+    for (const auto& seg : persist::list_wal_segments(leader_dir_, shard)) {
+      if (seg.start_seq > positions_at_kill_[shard]) ++rotations;
     }
-  });
-  std::this_thread::sleep_for(20ms);
-  replica_.reset();  // SIGKILL equivalent minus the process boundary
-  std::this_thread::sleep_for(20ms);
-  feeding = false;
-  feeder.join();
-
-  // Restart over the same directory: the replica restores locally and
-  // resumes the stream from its acked position — no snapshot re-ship.
-  replica_ = make_replica();
-  replica_->start();
-  serve::PredictionEngine* follower = replica_->wait_until_ready(10s);
-  ASSERT_NE(follower, nullptr);
-  EXPECT_EQ(replica_->stats().bootstraps, 0u);
-
-  feed(4);
-  expect_identical_forecasts(*follower);
-  EXPECT_EQ(repl_->stats().snapshots_shipped, 1u);  // bootstrap only, once
-  EXPECT_GE(repl_->stats().sessions_total, 2u);
+    EXPECT_GE(rotations, 3u) << "shard " << shard;
+  }
 }
 
 TEST_F(ReplicationTest, LeaderTornMidGroupRecoversAndReconverges) {
@@ -580,6 +640,133 @@ TEST_F(ReplicationTest, LeaderTornMidGroupRecoversAndReconverges) {
 
   feed(6);
   expect_identical_forecasts(*follower);
+}
+
+// ---------------------------------------------------------------------------
+// Bootstrap from a leader that ships a corrupt snapshot
+// ---------------------------------------------------------------------------
+
+// A stand-in leader on a loopback socket: every connection it accepts gets
+// `file` as one snapshot transfer in kChunk-byte chunks, however the
+// follower greets it, and is then held until the follower hangs up.
+class FakeLeader {
+ public:
+  static constexpr std::size_t kChunk = 500;
+
+  FakeLeader(std::vector<std::byte> file, std::uint64_t epoch)
+      : file_(std::move(file)), epoch_(epoch),
+        listener_(net::listen_tcp("127.0.0.1", 0)),
+        port_(net::local_port(listener_)),
+        thread_([this] { serve(); }) {}
+  ~FakeLeader() {
+    serving_ = false;
+    thread_.join();
+  }
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] int transfers() const { return transfers_.load(); }
+
+ private:
+  void serve() {
+    while (serving_.load()) {
+      pollfd pfd{listener_.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      net::Fd conn = net::accept_conn(listener_);
+      if (!conn.valid()) continue;
+      persist::io::Writer body;
+      std::vector<std::byte> out;
+      for (std::size_t offset = 0; offset < file_.size(); offset += kChunk) {
+        const std::size_t n = std::min(kChunk, file_.size() - offset);
+        net::encode_repl_snapshot_chunk(
+            body, 1, epoch_, file_.size(), offset,
+            std::span<const std::byte>(file_).subspan(offset, n),
+            offset + n == file_.size());
+        net::append_frame(out, body.bytes());
+      }
+      if (!send_all(conn.get(), out)) continue;
+      transfers_.fetch_add(1);
+      // Hold the connection until the follower drops it (or the test ends).
+      std::byte sink[256];
+      while (serving_.load()) {
+        pfd = {conn.get(), POLLIN, 0};
+        if (::poll(&pfd, 1, 20) <= 0) continue;
+        if (::recv(conn.get(), sink, sizeof sink, 0) <= 0) break;
+      }
+    }
+  }
+
+  static bool send_all(int fd, std::span<const std::byte> bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        bytes = bytes.subspan(static_cast<std::size_t>(n));
+      } else if (n < 0 && (errno == EAGAIN || errno == EINTR)) {
+        pollfd pfd{fd, POLLOUT, 0};
+        (void)::poll(&pfd, 1, 20);
+      } else {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::vector<std::byte> file_;
+  std::uint64_t epoch_;
+  net::Fd listener_;
+  std::uint16_t port_;
+  std::atomic<bool> serving_{true};
+  std::atomic<int> transfers_{0};
+  std::thread thread_;
+};
+
+TEST(ReplicaBootstrap, CorruptSnapshotIsNeitherPublishedNorAdopted) {
+  const fs::path source = test_dir("source");
+  const fs::path follower_dir = test_dir("follower");
+  fs::remove_all(source);
+  fs::remove_all(follower_dir);
+  // A real engine snapshot file with one payload byte flipped: the wire CRC
+  // of every chunk is valid, only the file's own checksum fails.
+  std::vector<std::byte> file;
+  std::uint64_t epoch = 0;
+  {
+    serve::EngineConfig config = tiny_config();
+    config.durability.data_dir = source;
+    serve::PredictionEngine engine(predictors::make_paper_pool(5), config);
+    for (int i = 0; i < 16; ++i) engine.observe(key_of(i % kSeries), 1.0 + i);
+    epoch = engine.snapshot();
+    file = persist::read_file(persist::snapshot_path(source, epoch));
+  }
+  ASSERT_GT(file.size(), 2 * FakeLeader::kChunk);
+  file[file.size() / 2] ^= std::byte{0x01};
+
+  FakeLeader leader(file, epoch);
+  ReplicaConfig config;
+  config.leader_port = leader.port();
+  config.data_dir = follower_dir;
+  config.engine.threads = 1;
+  config.ack_interval = 5ms;
+  config.reconnect_backoff = 20ms;
+  Replica replica(predictors::make_paper_pool(5), config);
+  replica.start();
+
+  // Each attempt must fail and reconnect: wait for a second transfer, or
+  // for the replica to (wrongly) come up.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (std::chrono::steady_clock::now() < deadline &&
+         leader.transfers() < 2 && replica.engine() == nullptr) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_GE(leader.transfers(), 2);
+  EXPECT_EQ(replica.wait_until_ready(50ms), nullptr);
+  EXPECT_EQ(replica.stats().bootstraps, 0u);
+  replica.stop();
+
+  EXPECT_TRUE(persist::list_snapshots(follower_dir).empty());
+  for (const auto& entry : fs::directory_iterator(follower_dir)) {
+    ADD_FAILURE() << "left behind: " << entry.path().filename();
+  }
+  fs::remove_all(source);
+  fs::remove_all(follower_dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "persist/io.hpp"
 #include "serve/wal_codec.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -29,7 +30,7 @@ struct DecodedOp {
 std::vector<DecodedOp> decode_all(WalPayloadCodec& codec,
                                   std::span<const std::byte> payload) {
   std::vector<DecodedOp> out;
-  codec.decode_block(payload, [&](const WalOp& op) {
+  codec.decode(payload, [&](const WalOp& op) {
     out.push_back({op.type, *op.key, op.value});
   });
   return out;
@@ -194,6 +195,35 @@ TEST(WalCodecTest, LegacyPerOpPayloadIsNotABlock) {
   EXPECT_FALSE(WalPayloadCodec::is_block({}));
 }
 
+TEST(WalCodecTest, DecodesLegacyPerOpPayloadsWithoutTouchingItsState) {
+  const auto per_op = [](std::uint8_t type, const SeriesKey& key,
+                         double value) {
+    persist::io::Writer w;
+    w.u8(type);
+    w.str(key.vm_id);
+    w.str(key.device_id);
+    w.str(key.metric);
+    if (type == kWalObserve) w.f64(value);
+    return copy(w.bytes());
+  };
+  const SeriesKey key{"vm7", "dev1", "disk"};
+  WalPayloadCodec dec;
+  auto ops = decode_all(dec, per_op(kWalObserve, key, 12.75));
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].type, kWalObserve);
+  EXPECT_EQ(ops[0].key, key);
+  EXPECT_EQ(ops[0].value, 12.75);
+  ops = decode_all(dec, per_op(kWalErase, key, 0.0));
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].type, kWalErase);
+  EXPECT_EQ(ops[0].key, key);
+  // Per-op frames carry their keys in full: the block dictionary stays as
+  // it was, so block frames that follow keep their ids.
+  EXPECT_EQ(dec.dictionary_size(), 0u);
+  EXPECT_THROW((void)decode_all(dec, per_op(3, key, 0.0)),
+               persist::CorruptData);
+}
+
 TEST(WalCodecTest, OpCountMismatchThrows) {
   WalPayloadCodec enc;
   enc.begin_block(2);
@@ -204,7 +234,7 @@ TEST(WalCodecTest, OpCountMismatchThrows) {
 TEST(WalCodecTest, MalformedBlocksAreRejected) {
   const auto decode = [](const std::vector<std::byte>& payload) {
     WalPayloadCodec codec;
-    codec.decode_block(payload, [](const WalOp&) {});
+    codec.decode(payload, [](const WalOp&) {});
   };
   // Bad marker.
   EXPECT_THROW(decode({std::byte{0xB2}, std::byte{1}}), persist::CorruptData);

@@ -520,12 +520,10 @@ int cmd_serve(const Options& options) {
   const auto net_stats = server.stats();
   const auto loop_stats = server.loop_stats();
   const auto engine_stats = engine.stats();
-  std::printf("served: %llu connections, %llu frames in, %llu frames out "
-              "(%s accept)\n",
+  std::printf("served: %llu connections, %llu frames in, %llu frames out\n",
               static_cast<unsigned long long>(net_stats.connections_accepted),
               static_cast<unsigned long long>(net_stats.frames_in),
-              static_cast<unsigned long long>(net_stats.frames_out),
-              net_stats.reuseport ? "reuseport" : "handoff");
+              static_cast<unsigned long long>(net_stats.frames_out));
   std::printf("  batching          %llu observe batches, %llu predict "
               "batches, %llu protocol errors\n",
               static_cast<unsigned long long>(net_stats.observe_batches),
